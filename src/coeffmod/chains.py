@@ -333,9 +333,11 @@ def coefficient_chain(
     witness_used = {}
     witness = None
     all_pass = False
+    draws = 0
     for attempt in range(budget):
         n0 = _n0_schedule(attempt)
         witness = minimal_reduction(mod, n0, s, rng, spread=s)
+        draws += 1
         stable_all = True
         for k in range(s, 0, -1):
             candidate = _relative_candidate(mod, k, witness, sat_res, hint)
@@ -367,7 +369,7 @@ def coefficient_chain(
         best = _absorbed_best(
             mod, s, k, (joins[k], fitted, witness_used.get(k, witness)), sat_res, hint, nmax, window
         )
-        certificates.append(_finish_relative(mod, k, s, sat_res, best, budget, complete))
+        certificates.append(_finish_relative(mod, k, s, sat_res, best, draws, complete))
     nesting = _verify_relative_nesting(mod, certificates, sat_res)
     closure_link = None
     if mod.monomial:
@@ -429,8 +431,12 @@ def maximality_probe(
     Evidence, not proof: the certificate's module is maximal only if no
     complement element keeps the degree low, and this samples from the
     complement of the result inside the top of the chain (the relative
-    closure when monomial, the saturation frame otherwise).
+    closure when monomial, the saturation frame otherwise).  Only
+    relative-chain certificates are accepted: a graded certificate bounds a
+    different length function, with threshold s - k - 1.
     """
+    if cert.inclusive:
+        raise StructuralError("maximality_probe takes relative-chain certificates, not graded ones")
     s = cert.threshold + cert.k
     if mod.monomial:
         top = relative_closure(mod)
@@ -606,9 +612,11 @@ def graded_chain(
     witness_used = {}
     witness = None
     all_pass = False
+    draws = 0
     for attempt in range(budget):
         n0 = _n0_schedule(attempt)
         witness = minimal_reduction(mod, n0, s, rng, spread=s)
+        draws += 1
         stable_all = True
         for k in range(s, 0, -1):
             candidate = _graded_candidate(mod, k, witness, floor, ideal, hint)
@@ -640,7 +648,7 @@ def graded_chain(
         best = _absorbed_graded_best(
             mod, s, k, (joins[k], fitted, witness_used.get(k, witness)), ideal, hint, nmax, window
         )
-        certificates.append(_finish_graded(mod, k, s, floor, best, budget, complete))
+        certificates.append(_finish_graded(mod, k, s, floor, best, draws, complete))
     nesting = _verify_graded_nesting(mod, floor, certificates)
     return ChainResult(s, certificates, nesting)
 

@@ -35,7 +35,7 @@ from .errors import (
     StructuralError,
     UndecidedColengthError,
 )
-from .linalg import ExactMatrix, PrimeField, SpanBuilder, Subspace, kernel_basis
+from .linalg import ExactMatrix, PrimeField, SpanBuilder, Subspace, coefficient_array, kernel_basis
 from .poly import (
     Monomial,
     MonomialIndex,
@@ -154,6 +154,7 @@ class ModulePresentation:
         self.gens = sorted(cleaned, key=lambda g: g.leading_monomial().key, reverse=True)
         self._powers = {1: self}
         self._colength: Optional[ColengthWitness] = None
+        self._span = None  # (absolute bound, Subspace): the last truncated span built
         self._buckets = None
         self._monomial_set = (
             tuple(g.leading_monomial() for g in self.gens) if self.monomial else None
@@ -253,10 +254,6 @@ def _compress_generators(ring, gens):
 # ---------------------------------------------------------------------------
 
 
-def mono_member(m: Monomial, gens) -> bool:
-    return any(g.divides(m) for g in gens)
-
-
 class MonomialBuckets:
     """Divisibility tests for same-degree monomial generators, bucketed by
     t-part: a generator of equal t-degree divides a monomial only when the
@@ -279,11 +276,6 @@ def poly_member_monomial(poly: PolyElement, gens) -> bool:
     """A polynomial lies in a monomial module iff every term does."""
     buckets = MonomialBuckets(gens)
     return all(buckets.contains(m) for m in poly.coeffs)
-
-
-def mono_sum(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
-    assert a.tdeg == b.tdeg
-    return ModulePresentation.from_monomials(a.ring, list(a.mono_gens) + list(b.mono_gens))
 
 
 def mono_intersect(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
@@ -449,35 +441,31 @@ def module_power(mod: ModulePresentation, n: int) -> ModulePresentation:
     return cache[n]
 
 
-def scale_by_ideal(ideal: ModulePresentation, mod: ModulePresentation) -> ModulePresentation:
-    """Product ideal * module; the ideal is a t-degree-0 presentation."""
-    if ideal.tdeg != 0:
-        raise RingMismatchError("expected a t-degree-0 ideal presentation")
-    return module_multiply(ideal, mod)
-
-
 # ---------------------------------------------------------------------------
 # truncated spans and colength
 # ---------------------------------------------------------------------------
 
 
-def _span_rows(mod: ModulePresentation, index: MonomialIndex):
-    """Projected spanning vectors x^gamma * gen, |gamma| < bound.  Higher
-    gamma project to zero, so this is the full image of the module (and of
-    its localization) in the truncated quotient."""
-    ring = mod.ring
-    for g in mod.gens:
-        for gamma in exponents_below(index.bound, ring.d):
-            yield index.vector(g.mul_monomial(Monomial(gamma, (0,) * ring.p)))
-
-
 def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialIndex] = None) -> Subspace:
+    """RREF span of the image of the module in the truncated quotient at
+    the absolute `bound`: the rows x^gamma * gen, |gamma| < bound (higher
+    gamma project to zero, so this is the whole image of the module and of
+    its localization).
+
+    The result is memoised on the presentation for one bound only, the last
+    one asked; a call with another bound rebuilds it and takes the slot.
+    Bounds already include TRUNC_MARGIN, so a truncation-probe re-run never
+    sees a span built for the unprobed bound.
+    """
+    if mod._span is not None and mod._span[0] == bound:
+        return mod._span[1]
     if index is None:
         index = MonomialIndex(mod.ring, mod.tdeg, bound)
     builder = SpanBuilder(mod.ring.field, index.dim)
-    for v in _span_rows(mod, index):
-        builder.insert(v)
-    return builder.subspace()
+    builder.add_rows(*index.shifted_rows(mod.gens))
+    span = builder.subspace()
+    mod._span = (bound, span)
+    return span
 
 
 def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> ColengthWitness:
@@ -515,11 +503,7 @@ def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) 
         bound = c + 1 + TRUNC_MARGIN
         index = MonomialIndex(ring, mod.tdeg, bound)
         span = module_span(mod, bound, index)
-        if all(
-            span.contains_vector(index.vector(PolyElement.from_monomial(ring, Monomial(alpha, beta))))
-            for alpha in compositions(c, ring.d)
-            for beta in compositions(mod.tdeg, ring.p)
-        ):
+        if span.contains_unit_vectors(index.degree_columns(c)):
             witness = ColengthWitness(c, f"truncated sweep at bound {bound}")
             if TRUNC_MARGIN == 0:
                 mod._colength = witness
@@ -619,13 +603,9 @@ def _general_pair_length(big: ModulePresentation, small: ModulePresentation) -> 
     bound = witness.exponent + 1 + TRUNC_MARGIN
     index = MonomialIndex(big.ring, big.tdeg, bound)
     span_small = module_span(small, bound, index)
-    builder = SpanBuilder(big.ring.field, index.dim)
-    for i in range(span_small.dim):
-        builder.insert(span_small.matrix.row(i))
-    dim_small = builder.dim
-    for v in _span_rows(big, index):
-        builder.insert(v)
-    return builder.dim - dim_small
+    builder = SpanBuilder(big.ring.field, index.dim, seed=span_small)
+    builder.add_rows(*index.shifted_rows(big.gens))
+    return builder.dim - span_small.dim
 
 
 def quotient_length(big: ModulePresentation, small: ModulePresentation, verify_inclusion: bool = True) -> int:
@@ -732,17 +712,19 @@ def _spanned_quotient_dim(ring, elems, small_gens, ceiling: int) -> int:
         return 0
     chart = sorted({m for row in reduced_rows for m in row.coeffs})
     pos = {m: i for i, m in enumerate(chart)}
+    rows, cols, vals = [], [], []
+    for i, row in enumerate(reduced_rows):
+        for m, c in row.coeffs.items():
+            rows.append(i)
+            cols.append(pos[m])
+            vals.append(c)
     builder = SpanBuilder(ring.field, len(chart))
-    for row in reduced_rows:
-        if isinstance(ring.field, PrimeField):
-            v = np.zeros(len(chart), dtype=np.int64)
-            for m, c in row.coeffs.items():
-                v[pos[m]] = c
-        else:
-            v = [Fraction(0)] * len(chart)
-            for m, c in row.coeffs.items():
-                v[pos[m]] = Fraction(c)
-        builder.insert(v)
+    builder.add_rows(
+        len(reduced_rows),
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        coefficient_array(ring.field, vals),
+    )
     return builder.dim
 
 
@@ -755,9 +737,10 @@ def quotient_lifts(frame: ModulePresentation, floor: ModulePresentation):
     """Polynomial representatives of a k-basis of frame/floor.
 
     Monomial pairs enumerate the set difference directly.  Otherwise the
-    floor span inside the truncated chart is extended by frame vectors; the
-    successfully inserted frame vectors are the lifts.  Representatives are
-    unique only up to floor, which is all the colon computation needs.
+    floor span inside the truncated chart is extended by the frame rows
+    x^gamma * gen in order; the rows that enlarge it are the lifts.
+    Representatives are unique only up to floor, which is all the colon
+    computation needs.
     """
     ring = frame.ring
     if frame.monomial and floor.monomial:
@@ -767,16 +750,12 @@ def quotient_lifts(frame: ModulePresentation, floor: ModulePresentation):
         raise RegimeError("frame/floor lift needs floor of finite colength")
     bound = witness.exponent + 1 + TRUNC_MARGIN
     index = MonomialIndex(ring, frame.tdeg, bound)
-    builder = SpanBuilder(ring.field, index.dim)
-    for v in _span_rows(floor, index):
-        builder.insert(v)
-    lifts = []
-    for v in _span_rows(frame, index):
-        before = builder.dim
-        if builder.insert(v):
-            assert builder.dim == before + 1
-            lifts.append(index.poly(v))
-    return lifts
+    builder = SpanBuilder(ring.field, index.dim, seed=module_span(floor, bound, index))
+    nrows, rows, cols, vals = index.shifted_rows(frame.gens)
+    accepted = builder.add_rows(nrows, rows, cols, vals)
+    starts = np.searchsorted(rows, accepted)
+    ends = np.searchsorted(rows, accepted, side="right")
+    return [index.poly(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, ends)]
 
 
 def _residual_coordinates(products, target: ModulePresentation):

@@ -10,10 +10,14 @@ prime below 3*10^9.  No floating point exists anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FieldMismatchError
+
+# int64 entries of the temporary products one sparse product forms at a time
+PRODUCT_CHUNK = 1 << 21
 
 
 def _is_prime(n: int) -> bool:
@@ -197,7 +201,8 @@ class ExactMatrix:
 
     Prime-field data is a 2-D int64 numpy array with entries in [0, q);
     rational data is a list of lists of Fractions.  Instances are treated
-    as immutable after construction.
+    as immutable after construction; with ``copy=False`` the caller hands
+    over data already in that form.
     """
 
     def __init__(self, field: Field, data, copy: bool = True):
@@ -207,8 +212,12 @@ class ExactMatrix:
             if arr.ndim != 2:
                 arr = arr.reshape(len(data), -1) if len(data) else arr.reshape(0, 0)
             self.data = (arr % field.q).copy() if copy else arr % field.q
-        else:
+        elif copy:
             self.data = [[Fraction(x) for x in row] for row in data]
+        else:
+            # rows of Fractions handed over by their builder; entries may share
+            # one zero object, which is safe because Fractions are immutable
+            self.data = data
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
@@ -395,12 +404,11 @@ class Subspace:
         non-pivot coordinates; it is zero iff v lies in the subspace.
         """
         if isinstance(self.field, PrimeField):
-            q = self.field.q
-            w = np.asarray(v, dtype=np.int64) % q
-            for i, pc in enumerate(self.pivots):
-                c = int(w[pc])
-                if c:
-                    w = (w - c * self.matrix.data[i]) % q
+            # the basis is reduced, so each row is subtracted v[pivot] times
+            w = np.asarray(v, dtype=np.int64) % self.field.q
+            coeffs = w[self.pivots]
+            hit = np.nonzero(coeffs)[0]
+            _subtract_products(w[None, :], np.zeros_like(hit), hit, coeffs[hit], self.matrix.data, self.field.q)
             return w
         w = [Fraction(x) for x in v]
         for i, pc in enumerate(self.pivots):
@@ -415,6 +423,22 @@ class Subspace:
         if isinstance(self.field, PrimeField):
             return not w.any()
         return all(x == 0 for x in w)
+
+    def contains_unit_vectors(self, columns) -> bool:
+        """Whether every standard basis vector e_c, c in `columns`, lies in
+        the subspace: c must be a pivot whose RREF row is e_c itself."""
+        row_of = {pc: i for i, pc in enumerate(self.pivots)}
+        for c in columns:
+            i = row_of.get(c)
+            if i is None:
+                return False
+            row = self.matrix.row(i)
+            if isinstance(self.field, PrimeField):
+                if np.count_nonzero(row) != 1:
+                    return False
+            elif any(x != 0 for j, x in enumerate(row) if j != c):
+                return False
+        return True
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
@@ -460,66 +484,216 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
 
 
-class SpanBuilder:
-    """Incremental row-space accumulator.
+def coefficient_array(field: Field, values) -> np.ndarray:
+    """Field elements as a numpy array: int64 over F_q, Fraction objects over Q."""
+    if isinstance(field, PrimeField):
+        return np.asarray(values, dtype=np.int64) % field.q
+    out = np.empty(len(values), dtype=object)
+    out[:] = [Fraction(x) for x in values]
+    return out
 
-    Rows are inserted one at a time and reduced against the current basis;
-    dependent rows are dropped.  The basis is kept in echelon (not fully
-    reduced) form ordered by pivot column, which is enough for membership
-    tests during accumulation; ``subspace()`` returns the canonical RREF.
+
+def _subtract_products(target, rows, cols, vals, dense, q: int):
+    """target[r] -= sum of vals[i] * dense[cols[i]] over the i with rows[i] == r,
+    mod q, in place; `rows` is ascending and entries lie in [0, q).
+
+    This is the product of a sparse matrix with a dense one.  Each product
+    is reduced once and the reduction of the sums is delayed: a sum of k
+    reduced products stays below k * q, so no int64 sum can overflow for any
+    supported q.  Products are formed PRODUCT_CHUNK entries at a time.
+    """
+    step = max(1, PRODUCT_CHUNK // max(1, dense.shape[1]))
+    for s in range(0, len(rows), step):
+        products = (vals[s : s + step, None] * dense[cols[s : s + step]]) % q
+        targets, starts = np.unique(rows[s : s + step], return_index=True)
+        target[targets] = (target[targets] - np.add.reduceat(products, starts, axis=0)) % q
+
+
+class SpanBuilder:
+    """A row space in reduced row-echelon form, grown by blocks of sparse rows.
+
+    The state is the pivot columns and, for each pivot, its RREF row on the
+    free (non-pivot) columns: the row is 1 at its own pivot and 0 at every
+    other pivot, so nothing else needs storing.
+
+    Over F_q each block of BLOCK_ROWS rows is reduced against the basis with
+    one sparse-times-dense product, ``block[:, free] - block[:, pivots] @
+    rows`` (mod q, see _subtract_products).  Only the nonzero residual rows
+    are row-reduced, and the new pivots are then eliminated from the old
+    rows by one more such product.
+    Over Q rows are reduced one at a time as sparse dicts, which is the same
+    elimination without a vectorized exact kernel.
     """
 
-    def __init__(self, field: Field, ambient: int):
+    BLOCK_ROWS = 128
+
+    def __init__(self, field: Field, ambient: int, seed: Optional[Subspace] = None):
         self.field = field
         self.ambient = ambient
-        self.rows = []
-        self.pivots = []
+        self.modular = isinstance(field, PrimeField)
+        if self.modular:
+            self.pivots = np.zeros(0, dtype=np.int64)
+            self.free = np.arange(ambient, dtype=np.int64)
+            self.rows = np.zeros((0, ambient), dtype=np.int64)
+            self._index_columns()
+        else:
+            self.reduced = {}  # pivot column -> {free column: nonzero Fraction}
+        if seed is not None:
+            self._seed(seed)
+
+    def _seed(self, seed: Subspace):
+        """Start from an RREF basis without re-reducing its rows."""
+        _check_same_field(self.field, seed.field)
+        if seed.ambient != self.ambient:
+            raise DimensionMismatchError(
+                f"seed of ambient dimension {seed.ambient} in a builder of dimension {self.ambient}"
+            )
+        if self.modular:
+            self.pivots = np.array(seed.pivots, dtype=np.int64)
+            mask = np.ones(self.ambient, dtype=bool)
+            mask[self.pivots] = False
+            self.free = np.nonzero(mask)[0]
+            self.rows = seed.matrix.data[:, self.free]
+            self._index_columns()
+            return
+        for row, pc in zip(seed.matrix.data, seed.pivots):
+            self.reduced[pc] = {j: x for j, x in enumerate(row) if x != 0 and j != pc}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots) if self.modular else len(self.reduced)
 
-    def _reduce(self, v):
-        if isinstance(self.field, PrimeField):
-            q = self.field.q
-            w = np.asarray(v, dtype=np.int64) % q
-            for pc, row in zip(self.pivots, self.rows):
-                c = int(w[pc])
-                if c:
-                    w = (w - c * row) % q
-            return w
-        w = [Fraction(x) for x in v]
-        for pc, row in zip(self.pivots, self.rows):
-            c = w[pc]
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, row)]
-        return w
+    def add_rows(self, nrows: int, rows, cols, vals) -> list:
+        """Add the rows 0..nrows-1 given as sparse entries (rows[i], cols[i]) =
+        vals[i], with `rows` ascending and at most one entry per position.
 
-    def insert(self, v) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        w = self._reduce(v)
-        if isinstance(self.field, PrimeField):
-            nz = np.nonzero(w)[0]
-            if nz.size == 0:
-                return False
-            pc = int(nz[0])
-            w = w * pow(int(w[pc]), -1, self.field.q) % self.field.q
-        else:
-            pc = next((i for i, x in enumerate(w) if x != 0), None)
-            if pc is None:
-                return False
-            inv = 1 / w[pc]
-            w = [x * inv for x in w]
-        at = next((i for i, p in enumerate(self.pivots) if p > pc), len(self.pivots))
-        self.pivots.insert(at, pc)
-        self.rows.insert(at, w)
+        Returns, in order, the rows that were independent of the span
+        together with the rows before them, i.e. the rows a one-at-a-time
+        insertion would have accepted.
+        """
+        if self.modular:
+            return self._add_mod(nrows, rows, cols, vals)
+        accepted = []
+        starts = np.searchsorted(rows, np.arange(nrows + 1))
+        cols, vals = cols.tolist(), list(vals)
+        for i in range(nrows):
+            lo, hi = starts[i], starts[i + 1]
+            if lo < hi and self._insert_fraction_row(dict(zip(cols[lo:hi], vals[lo:hi]))):
+                accepted.append(i)
+        return accepted
+
+    def _add_mod(self, nrows, rows, cols, vals) -> list:
+        accepted = []
+        bounds = np.searchsorted(rows, np.arange(0, nrows + self.BLOCK_ROWS, self.BLOCK_ROWS))
+        for b, first in enumerate(range(0, nrows, self.BLOCK_ROWS)):
+            if self.free.size == 0:
+                break  # the span is everything; no row can add to it
+            lo, hi = bounds[b], bounds[b + 1]
+            if lo == hi:
+                continue
+            residual = self._residual(
+                min(self.BLOCK_ROWS, nrows - first), rows[lo:hi] - first, cols[lo:hi], vals[lo:hi]
+            )
+            live = np.nonzero(residual.any(axis=1))[0]
+            if live.size == 0:
+                continue
+            residual = residual[live]
+            reduced, new = rref(ExactMatrix(self.field, residual, copy=False))
+            if len(new) < live.size:
+                # dependent rows among the residuals: the greedy choice is the
+                # set of pivot columns of the residuals taken as columns
+                _, chosen = rref(ExactMatrix(self.field, residual.T, copy=False))
+                live = live[chosen]
+            accepted.extend((first + live).tolist())
+            self._absorb(reduced.data, np.array(new, dtype=np.int64))
+        return accepted
+
+    def _residual(self, height, rows, cols, vals):
+        """Sparse rows minus their pivot entries times the basis rows, on the
+        free columns: block[:, free] - block[:, pivots] @ self.rows (mod q).
+
+        The product only touches the entries of the block that sit on pivot
+        columns.  Each product is reduced before the sums, so a row's sum
+        stays below (entries per row) * q and cannot overflow int64 for any
+        supported q.
+        """
+        where = self._where[cols]
+        residual = np.zeros((height, self.free.size), dtype=np.int64)
+        on_free = where >= 0
+        residual[rows[on_free], where[on_free]] = vals[on_free]
+        on_pivot = ~on_free
+        _subtract_products(
+            residual, rows[on_pivot], -1 - where[on_pivot], vals[on_pivot], self.rows, self.field.q
+        )
+        return residual
+
+    def _absorb(self, reduced, new):
+        """Merge RREF rows on the free columns, pivots `new` (indices into
+        the free columns), into the basis."""
+        hits = self.rows[:, new]
+        i, j = np.nonzero(hits)
+        _subtract_products(self.rows, i, j, hits[i, j], reduced, self.field.q)
+        keep = np.ones(self.free.size, dtype=bool)
+        keep[new] = False
+        pivots = np.concatenate([self.pivots, self.free[new]])
+        order = np.argsort(pivots, kind="stable")
+        self.pivots = pivots[order]
+        self.rows = np.vstack([self.rows[:, keep], reduced[:, keep]])[order]
+        self.free = self.free[keep]
+        self._index_columns()
+
+    def _index_columns(self):
+        """_where[c]: the position of column c among the free columns, or
+        -1 - (its row) for a pivot column."""
+        self._where = np.empty(self.ambient, dtype=np.int64)
+        self._where[self.free] = np.arange(self.free.size)
+        self._where[self.pivots] = -1 - np.arange(self.pivots.size)
+
+    def _insert_fraction_row(self, v: dict) -> bool:
+        w = {}
+        for c, x in v.items():
+            row = self.reduced.get(c)
+            if row is None:
+                w[c] = w.get(c, 0) + x
+            else:
+                for j, y in row.items():
+                    w[j] = w.get(j, 0) - x * y
+        w = {j: x for j, x in w.items() if x != 0}
+        if not w:
+            return False
+        pc = min(w)
+        inv = 1 / w.pop(pc)
+        w = {j: x * inv for j, x in w.items()}
+        for row in self.reduced.values():
+            x = row.pop(pc, None)
+            if x is not None:
+                for j, y in w.items():
+                    value = row.get(j, 0) - x * y
+                    if value != 0:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+        self.reduced[pc] = w
         return True
 
-    def contains_vector(self, v) -> bool:
-        w = self._reduce(v)
-        if isinstance(self.field, PrimeField):
-            return not w.any()
-        return all(x == 0 for x in w)
-
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.field, self.ambient, self.rows)
+        """The canonical RREF basis of the span."""
+        if self.modular:
+            r = len(self.pivots)
+            data = np.zeros((r, self.ambient), dtype=np.int64)
+            data[np.arange(r), self.pivots] = 1
+            data[:, self.free] = self.rows
+            matrix = ExactMatrix(self.field, data, copy=False)
+            return Subspace(self.field, self.ambient, matrix, self.pivots.tolist())
+        pivots = sorted(self.reduced)
+        if not pivots:
+            return Subspace(self.field, self.ambient, ExactMatrix.zeros(self.field, 0, self.ambient), [])
+        zero, one = Fraction(0), Fraction(1)
+        data = []
+        for pc in pivots:
+            row = [zero] * self.ambient
+            row[pc] = one
+            for j, x in self.reduced[pc].items():
+                row[j] = x
+            data.append(row)
+        return Subspace(self.field, self.ambient, ExactMatrix(self.field, data, copy=False), pivots)

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParseError, RingMismatchError
-from .linalg import Field, PrimeField
+from .linalg import Field, PrimeField, coefficient_array
 
 # exponents are machine-word integers; anything past this is a bug, not data
 EXPONENT_LIMIT = 10**6
@@ -114,10 +114,6 @@ class Monomial:
             elif e > 1:
                 parts.append(f"t{j + 1}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def x_monomial(ring: RingDescriptor, xexp) -> Monomial:
-    return Monomial(xexp, (0,) * ring.p)
 
 
 def unit_monomial(ring: RingDescriptor) -> Monomial:
@@ -277,13 +273,6 @@ def _coeff_text(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def poly_sum(ring: RingDescriptor, elems) -> PolyElement:
-    out = PolyElement.zero(ring)
-    for e in elems:
-        out = out.add(e)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grammar:
 #   poly   := term (('+'|'-') term)*
@@ -431,51 +420,149 @@ def basis_count(ring: RingDescriptor, n: int, bound: int) -> int:
     return comb(n + ring.p - 1, ring.p - 1) * comb(bound - 1 + ring.d, ring.d)
 
 
+def _comb(a, k: int):
+    """C(a, k) elementwise for an int64 array a >= 0; each partial product of
+    k consecutive integers is divisible by the factorial so far, so every
+    step is exact."""
+    out = np.ones_like(a)
+    for i in range(k):
+        out = out * (a - i) // (i + 1)
+    return out
+
+
+def x_ranks(xexps) -> np.ndarray:
+    """Positions of the rows of `xexps` (an m x d exponent array) in the
+    canonical x-order of exponents_below: total degree first, then x1
+    dominant.
+
+    An exponent of degree D is preceded by the C(D-1+d, d) exponents of lower
+    degree and, for each i, by the compositions of what is left after
+    x1..x(i-1) whose i-th part is larger; no truncation bound enters.
+    """
+    xexps = np.asarray(xexps, dtype=np.int64)
+    d = xexps.shape[1]
+    rest = xexps.sum(axis=1)
+    rank = _comb(rest - 1 + d, d)
+    for i in range(d - 1):
+        part = xexps[:, i]
+        rank += _comb(rest - part - 1 + d - 1 - i, d - 1 - i)
+        rest = rest - part
+    return rank
+
+
 class MonomialIndex:
     """Coordinate chart for the truncated degree-n piece: monomial <-> column.
 
-    Columns are ordered by the global key, which places lower x-degrees
-    first; pivot positions in the shared prefix therefore do not depend on
-    the truncation bound.
+    The column of x^a t^b is (position of b among the degree-n t-monomials)
+    times the number of x-monomials below the bound, plus x_ranks(a).  That
+    is the order of the global key, which places lower x-degrees first inside
+    each t-block; the x-rank, and hence every pivot position in the shared
+    prefix of a block, does not depend on the truncation bound.
     """
 
     def __init__(self, ring: RingDescriptor, n: int, bound: int):
         self.ring = ring
         self.tdeg = n
         self.bound = bound
-        self.monomials = enumerate_basis(ring, n, bound)
-        self.position = {m: i for i, m in enumerate(self.monomials)}
+        self.texps = list(compositions(n, ring.p))
+        self.tblock = {t: i for i, t in enumerate(self.texps)}
+        self.xsize = comb(bound - 1 + ring.d, ring.d)
+        self._xexps = None
 
     @property
     def dim(self) -> int:
-        return len(self.monomials)
+        return len(self.texps) * self.xsize
+
+    @property
+    def xexps(self) -> np.ndarray:
+        """The x-exponents below the bound, one row per x-rank."""
+        if self._xexps is None:
+            self._xexps = np.array(list(exponents_below(self.bound, self.ring.d)), dtype=np.int64)
+            self._xexps = self._xexps.reshape(self.xsize, self.ring.d)
+        return self._xexps
+
+    @property
+    def monomials(self):
+        """Every chart monomial, in column order."""
+        return enumerate_basis(self.ring, self.tdeg, self.bound)
+
+    def degree_columns(self, c: int):
+        """Columns of the monomials of x-degree c (below the bound)."""
+        d = self.ring.d
+        low, high = comb(c - 1 + d, d), comb(c + d, d)
+        return [tb * self.xsize + r for tb in range(len(self.texps)) for r in range(low, high)]
+
+    def _terms(self, poly: PolyElement):
+        """(t-blocks, x-exponents, coefficients) of the terms of a
+        t-homogeneous element of the chart's t-degree."""
+        blocks, xexps, coeffs = [], [], []
+        for m, c in poly.coeffs.items():
+            if m.tdeg != self.tdeg:
+                raise RingMismatchError("t-degree does not match the chart")
+            blocks.append(self.tblock[m.texp])
+            xexps.append(m.xexp)
+            coeffs.append(c)
+        return (
+            np.array(blocks, dtype=np.int64),
+            np.array(xexps, dtype=np.int64).reshape(len(xexps), self.ring.d),
+            coeffs,
+        )
 
     def vector(self, poly: PolyElement):
         """Coordinates of a t-homogeneous element; terms with xdeg >= bound
         are projected away (they lie inside the truncation ideal)."""
         field = self.ring.field
+        blocks, xexps, coeffs = self._terms(poly)
+        keep = np.nonzero(xexps.sum(axis=1) < self.bound)[0]
+        cols = (blocks[keep] * self.xsize + x_ranks(xexps[keep])).tolist()
         if isinstance(field, PrimeField):
             v = np.zeros(self.dim, dtype=np.int64)
-            for m, c in poly.coeffs.items():
-                if m.tdeg != self.tdeg:
-                    raise RingMismatchError("t-degree does not match the chart")
-                if m.xdeg < self.bound:
-                    v[self.position[m]] = c % field.q
+            for col, i in zip(cols, keep.tolist()):
+                v[col] = coeffs[i] % field.q
             return v
         v = [Fraction(0)] * self.dim
-        for m, c in poly.coeffs.items():
-            if m.tdeg != self.tdeg:
-                raise RingMismatchError("t-degree does not match the chart")
-            if m.xdeg < self.bound:
-                v[self.position[m]] = Fraction(c)
+        for col, i in zip(cols, keep.tolist()):
+            v[col] = Fraction(coeffs[i])
         return v
 
-    def poly(self, vector) -> PolyElement:
+    def shifted_rows(self, gens):
+        """The truncated products x^gamma * g, |gamma| < bound, of each
+        generator, as sparse entries for SpanBuilder.add_rows.
+
+        Row i * X + rank(gamma) holds x^gamma times the i-th generator (X the
+        number of x-monomials below the bound); terms pushed to x-degree >=
+        bound lie in the truncation ideal and are dropped.  Returns (number
+        of rows, rows ascending, columns, values).
+        """
+        nrows = len(gens) * self.xsize
+        owners, blocks, xexps, coeffs = [], [], [], []
+        for i, g in enumerate(gens):
+            b, x, c = self._terms(g)
+            owners.append(np.full(len(c), i, dtype=np.int64))
+            blocks.append(b)
+            xexps.append(x)
+            coeffs.extend(c)
+        if not coeffs:
+            empty = np.zeros(0, dtype=np.int64)
+            return nrows, empty, empty, coefficient_array(self.ring.field, [])
+        owners, blocks, xexps = np.concatenate(owners), np.concatenate(blocks), np.concatenate(xexps)
+        gammas = self.xexps
+        room = self.bound - xexps.sum(axis=1)  # a shift must have degree below this
+        term, gamma = np.nonzero(gammas.sum(axis=1)[None, :] < room[:, None])
+        rows = owners[term] * self.xsize + gamma
+        cols = blocks[term] * self.xsize + x_ranks(gammas[gamma] + xexps[term])
+        vals = coefficient_array(self.ring.field, coeffs)[term]
+        order = np.argsort(rows, kind="stable")
+        return nrows, rows[order], cols[order], vals[order]
+
+    def poly(self, cols, vals) -> PolyElement:
+        """The element with coefficient vals[i] at column cols[i]."""
         field = self.ring.field
+        xexps = self.xexps
         coeffs = {}
-        for i, m in enumerate(self.monomials):
-            c = vector[i]
+        for col, c in sorted(zip(np.asarray(cols).tolist(), list(vals))):
             c = int(c) if isinstance(field, PrimeField) else Fraction(c)
             if not field.is_zero(c):
-                coeffs[m] = c
+                block, rank = divmod(col, self.xsize)
+                coeffs[Monomial(tuple(xexps[rank].tolist()), self.texps[block])] = c
         return PolyElement(self.ring, coeffs)

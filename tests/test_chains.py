@@ -113,6 +113,34 @@ def test_maximality_probe_rejects_complement_of_squares():
     assert probe.violations == []
 
 
+def test_maximality_probe_rejects_graded_certificate():
+    # a graded certificate's threshold is s - k - 1 on another length
+    # function; reading s off it as threshold + k would be wrong
+    ideal = mk(R21, "x1^2", "x2^2")
+    cert = graded_coefficient_module(ideal, 1, random.Random(5))
+    assert cert.inclusive
+    with pytest.raises(StructuralError):
+        maximality_probe(ideal, cert, random.Random(6), sample_budget=5)
+
+
+@pytest.mark.parametrize("driver", [coefficient_chain, graded_chain])
+def test_chain_joins_count_the_reduction_draws(monkeypatch, driver):
+    import coeffmod.chains as chains
+
+    draws = []
+    real = chains.minimal_reduction
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "minimal_reduction", counting)
+    ideal = mk(R21, "x1^2", "x2^2")
+    chain = driver(ideal, random.Random(7), budget=6)
+    assert 1 <= len(draws) < 6
+    assert all(cert.joins == len(draws) for cert in chain.certificates)
+
+
 def test_graded_chain_of_m_times_free():
     mf = mk(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
     chain = graded_chain(mf, random.Random(11))

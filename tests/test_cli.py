@@ -31,6 +31,14 @@ gens  = [(x1^2); (x2^2)]
 """
 
 
+PENCIL_SPEC = """\
+field = Fp:10007
+xvars = 2
+rank  = 1
+gens  = [(x1^2+3*x2^2); (x1*x2)]
+"""
+
+
 @pytest.fixture
 def quartic(tmp_path):
     path = tmp_path / "quartic.spec"
@@ -169,6 +177,14 @@ def test_coeff_command_deterministic(quartic, capsys):
 
 def test_trunc_probe_stable(quartic):
     report, code = run(["coeff", quartic, "--k", "2", "--seed", "7", "--trunc-probe"])
+    assert code == 0
+    assert any(v["name"] == "truncation probe" and v["pass"] for v in report["verdicts"])
+
+
+def test_trunc_probe_stable_on_general_chain(tmp_path):
+    path = tmp_path / "pencil.spec"
+    path.write_text(PENCIL_SPEC, encoding="utf-8")
+    report, code = run(["coeff-chain", str(path), "--seed", "7", "--trunc-probe"])
     assert code == 0
     assert any(v["name"] == "truncation probe" and v["pass"] for v in report["verdicts"])
 

@@ -169,6 +169,60 @@ def test_truncation_probe_stability():
             assert length_of_quotient(free, mf, 3) == base
 
 
+PENCIL = ("x1^2 + 3*x2^2", "x1*x2")
+
+
+def test_truncation_probe_stability_general_regime():
+    # the pencil is general (no monomial presentation); m^3 lies inside it
+    ring = RingDescriptor(F, 2, 1)
+    pencil = module(ring, *PENCIL)
+    assert not pencil.monomial
+    bigger = module(ring, *PENCIL, "x2^2")
+    free = ModulePresentation.free(ring, 0)
+
+    def answers():
+        square = module_power(pencil, 2)
+        return (
+            colength_exponent(pencil).exponent,
+            colength_exponent(square).exponent,
+            quotient_length(free, pencil),
+            quotient_length(bigger, pencil),
+            quotient_length(module_power(free, 2), square),
+            quotient_length(module_power(bigger, 2), square),
+        )
+
+    base = answers()
+    assert base[0] == 3 and base[2] == 4 and base[3] == 1
+    for extra in (1, 2):
+        with truncation_margin(extra):
+            assert answers() == base
+    assert answers() == base
+
+
+def test_span_memo_is_never_returned_for_another_bound():
+    from coeffmod.graded import module_span
+    from coeffmod.poly import MonomialIndex
+
+    ring = RingDescriptor(F, 2, 1)
+    pencil = module(ring, *PENCIL)
+
+    def fresh(bound):
+        return module_span(module(ring, *PENCIL), bound)
+
+    for bound in (4, 5, 4, 6, 6, 3):
+        span = module_span(pencil, bound)
+        assert span.ambient == MonomialIndex(ring, 0, bound).dim
+        assert span == fresh(bound)
+        assert pencil._span[0] == bound  # one span per presentation
+    # every bound a margin run asks for already carries the margin
+    for extra in (1, 2):
+        with truncation_margin(extra):
+            witness = colength_exponent(pencil)
+            held, span = pencil._span
+            assert held == witness.exponent + 1 + extra
+            assert span.ambient == MonomialIndex(ring, 0, held).dim
+
+
 def test_subadditivity_of_lengths():
     rng = random.Random(31)
     for _ in range(8):
