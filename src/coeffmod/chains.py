@@ -29,6 +29,7 @@ from .graded import (
     ModulePresentation,
     colength_exponent,
     colon_into_frame,
+    memo,
     module_contains,
     module_multiply,
     module_power,
@@ -47,6 +48,7 @@ from .hilbert import (
     capture_graded,
     capture_rees_amao,
     fit,
+    graded_floors,
 )
 from .modops import (
     ReductionWitness,
@@ -162,10 +164,19 @@ def _relative_candidate(
 
 
 def _relative_degree_fit(candidate, mod, nmax, window) -> FittedPolynomial:
-    return _fit_with_extension(
-        lambda n: capture_rees_amao(candidate, mod, n, verify_inclusion=False),
-        nmax,
-        window,
+    """Fit of n -> length(candidate^n / M^n), memoised on M per candidate.
+
+    Joins, absorption trials and probe picks often reach the same module;
+    presentations are canonical, so the generators identify it.
+    """
+    return memo(
+        mod,
+        ("relative fit", candidate.tdeg, tuple(candidate.gens), nmax, window),
+        lambda: _fit_with_extension(
+            lambda n: capture_rees_amao(candidate, mod, n, verify_inclusion=False),
+            nmax,
+            window,
+        ),
     )
 
 
@@ -174,7 +185,6 @@ def _absorb_complement(
     frame: ModulePresentation,
     degree_ok,
     join_with,
-    hint: Optional[int],
 ):
     """Grow a verified class member by complement elements of the frame.
 
@@ -211,7 +221,7 @@ def _absorb_relative(mod, s, k, result, sat_res, hint, nmax, window):
             colength_hint=hint,
         )
 
-    return _absorb_complement(result, frame, degree_ok, join_with, hint)
+    return _absorb_complement(result, frame, degree_ok, join_with)
 
 
 def coefficient_module(
@@ -481,10 +491,24 @@ def _graded_candidate(mod, k, witness, floor, ideal, hint):
 
 
 def _graded_degree_fit(candidate, mod, ideal, nmax, window) -> FittedPolynomial:
-    return _fit_with_extension(
-        lambda n: capture_graded(candidate, mod, ideal, n),
-        nmax,
-        window,
+    """Fit of n -> length(candidate M^(n-1) / ideal M^n), memoised on M per
+    candidate and ideal."""
+    return memo(
+        mod,
+        (
+            "graded fit",
+            candidate.tdeg,
+            tuple(candidate.gens),
+            ideal.tdeg,
+            tuple(ideal.gens),
+            nmax,
+            window,
+        ),
+        lambda: _fit_with_extension(
+            lambda n: capture_graded(candidate, mod, ideal, n),
+            nmax,
+            window,
+        ),
     )
 
 
@@ -501,7 +525,7 @@ def _absorbed_graded_best(mod, s, k, best, ideal, hint, nmax, window):
             colength_hint=hint,
         )
 
-    absorbed, added = _absorb_complement(result, mod, degree_ok, join_with, hint)
+    absorbed, added = _absorb_complement(result, mod, degree_ok, join_with)
     if added:
         fitted = _graded_degree_fit(absorbed, mod, ideal, nmax, window)
     return absorbed, fitted, witness, added
@@ -533,7 +557,7 @@ def graded_coefficient_module(
     if not 1 <= k <= s:
         raise StructuralError(f"k = {k} outside 1..{s}")
     ideal = ideal if ideal is not None else fitting_ideal(mod)
-    floor = module_multiply(ideal, mod)
+    floor = graded_floors(mod, ideal, 1)[0]
     hint = _monomial_hint(floor)
     join = None
     joins = 0
@@ -605,7 +629,7 @@ def graded_chain(
         raise RegimeError("the graded chain needs finite colength")
     s = analytic_spread(mod).spread
     ideal = ideal if ideal is not None else fitting_ideal(mod)
-    floor = module_multiply(ideal, mod)
+    floor = graded_floors(mod, ideal, 1)[0]
     hint = _monomial_hint(floor)
     joins = {k: None for k in range(1, s + 1)}
     fits = {}

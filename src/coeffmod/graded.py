@@ -156,6 +156,7 @@ class ModulePresentation:
         self._colength: Optional[ColengthWitness] = None
         self._span = None  # (absolute bound, Subspace): the last truncated span built
         self._buckets = None
+        self._memo = {}  # base-side results of chains, fits and closures; see memo()
         self._monomial_set = (
             tuple(g.leading_monomial() for g in self.gens) if self.monomial else None
         )
@@ -439,6 +440,20 @@ def module_power(mod: ModulePresentation, n: int) -> ModulePresentation:
         current = module_multiply(current, mod)
         cache[k] = current
     return cache[n]
+
+
+def memo(mod: ModulePresentation, key: tuple, compute):
+    """compute(), evaluated once per key and kept on the presentation.
+
+    The result lives in `mod._memo` as long as the presentation does.  Every
+    key is extended by the current TRUNC_MARGIN, so a truncation-probe re-run
+    recomputes whatever may reach a truncated span instead of reading a
+    result of the unprobed bounds.  A raised error is not kept.
+    """
+    key = key + (TRUNC_MARGIN,)
+    if key not in mod._memo:
+        mod._memo[key] = compute()
+    return mod._memo[key]
 
 
 # ---------------------------------------------------------------------------

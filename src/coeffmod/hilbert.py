@@ -22,6 +22,7 @@ from typing import Optional
 from .errors import BasisSizeError, UnstableFitError
 from .graded import (
     ModulePresentation,
+    memo,
     module_multiply,
     module_power,
     product_quotient_dim,
@@ -79,7 +80,7 @@ def binomial_basis_polynomial(j: int):
     return [c / factorial(j) for c in coeffs]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedPolynomial:
     """Exact polynomial agreeing with a table from stabilization_index on.
 
@@ -261,6 +262,20 @@ def capture_fiber(mod: ModulePresentation, nmax: int) -> NumericalFunction:
     return NumericalFunction("fiber", values)
 
 
+def graded_floors(mod: ModulePresentation, ideal: ModulePresentation, nmax: int) -> list:
+    """The floors ideal * M * M^(n-1) for n = 1..nmax (entry n-1).
+
+    They depend on M and the ideal only, so the table is memoised on M per
+    ideal and grown on demand; every candidate of a graded chain reads it.
+    """
+    floors = memo(mod, ("graded floors", ideal.tdeg, tuple(ideal.gens)), list)
+    if not floors:
+        floors.append(module_multiply(ideal, mod))
+    while len(floors) < nmax:
+        floors.append(module_multiply(floors[0], module_power(mod, len(floors))))
+    return floors
+
+
 def capture_graded(
     big: ModulePresentation,
     mod: ModulePresentation,
@@ -273,14 +288,13 @@ def capture_graded(
     are streamed into the quotient chart instead of being compressed into a
     presentation first; at high powers that avoids the dominant cost.
     """
-    floor = module_multiply(ideal, mod)
     values = []
     for n in range(1, nmax + 1):
+        bottom = graded_floors(mod, ideal, n)[n - 1]
         if n == 1:
-            values.append((n, quotient_length(big, floor, verify_inclusion=True)))
+            values.append((n, quotient_length(big, bottom, verify_inclusion=True)))
             continue
         prev = module_power(mod, n - 1)
-        bottom = module_multiply(floor, prev)
         if bottom.monomial:
             values.append((n, product_quotient_dim(big, prev, bottom)))
         else:

@@ -253,14 +253,6 @@ class ExactMatrix:
             return int(self.data[i, j])
         return self.data[i][j]
 
-    def transpose(self) -> "ExactMatrix":
-        if isinstance(self.field, PrimeField):
-            return ExactMatrix(self.field, self.data.T, copy=True)
-        return ExactMatrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix) or self.field != other.field:
             return False

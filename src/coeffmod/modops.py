@@ -29,6 +29,7 @@ from .graded import (
     ModulePresentation,
     colength_exponent,
     colon_into_frame,
+    memo,
     module_contains,
     module_multiply,
     module_power,
@@ -48,7 +49,7 @@ from .poly import Monomial, PolyElement, RingDescriptor, compositions
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaturationResult:
     module: ModulePresentation
     index: int  # least k with (M : m^k) = (M : m^(k+1))
@@ -59,8 +60,12 @@ def saturate(mod: ModulePresentation, step_cap: int = 256) -> SaturationResult:
 
     Monomial modules are saturated combinatorially whatever their colength;
     a general module must have finite colength, in which case the saturation
-    is the whole degree piece.
+    is the whole degree piece.  The result is memoised on the presentation.
     """
+    return memo(mod, ("saturation", step_cap), lambda: _saturate(mod, step_cap))
+
+
+def _saturate(mod: ModulePresentation, step_cap: int) -> SaturationResult:
     ring = mod.ring
     if mod.monomial:
         mm = ModulePresentation.maximal_ideal(ring)
@@ -323,12 +328,15 @@ def monomial_integral_closure(mod: ModulePresentation, cross_check: bool = False
 
 
 def relative_closure(mod: ModulePresentation) -> ModulePresentation:
-    """Integral closure intersected with the saturation (monomial regime)."""
+    """Integral closure intersected with the saturation (monomial regime),
+    memoised on the presentation."""
     if not mod.monomial:
         raise RegimeError("relative integral closure needs the monomial regime")
-    closure = monomial_integral_closure(mod)
-    sat = saturate(mod).module
-    return mono_intersect(closure, sat)
+    return memo(
+        mod,
+        ("relative closure",),
+        lambda: mono_intersect(monomial_integral_closure(mod), saturate(mod).module),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from coeffmod.graded import (
     module_contains,
     module_multiply,
     modules_equal,
+    truncation_margin,
 )
 from coeffmod.linalg import PrimeField
 from coeffmod.modops import fitting_ideal, ratliff_rush, relative_closure
@@ -121,6 +122,58 @@ def test_maximality_probe_rejects_graded_certificate():
     assert cert.inclusive
     with pytest.raises(StructuralError):
         maximality_probe(ideal, cert, random.Random(6), sample_budget=5)
+
+
+def _count_rees_amao(monkeypatch):
+    """Record (generators of big, nmax) for every Rees-Amao table a fit takes."""
+    import coeffmod.chains as chains
+
+    captured = []
+    real = chains.capture_rees_amao
+
+    def counting(big, small, nmax, **kwargs):
+        captured.append((tuple(big.gens), nmax))
+        return real(big, small, nmax, **kwargs)
+
+    monkeypatch.setattr(chains, "capture_rees_amao", counting)
+    return captured
+
+
+def test_relative_fit_memo_reruns_at_another_truncation_margin(monkeypatch):
+    from coeffmod.chains import _relative_degree_fit
+
+    captured = _count_rees_amao(monkeypatch)
+    pencil = mk(R21, "x1^2+3*x2^2", "x1*x2")
+    assert not pencil.monomial  # its lengths come from truncated spans
+    square = mk(R21, "x1^2", "x1*x2", "x2^2")
+    base = _relative_degree_fit(square, pencil, 8, 3)
+    first = len(captured)
+    assert first >= 1
+    # the same module from another presentation object hits the memo
+    assert _relative_degree_fit(mk(R21, "x2^2", "x1^2", "x1*x2"), pencil, 8, 3) == base
+    assert len(captured) == first
+    with truncation_margin(1):
+        probed = _relative_degree_fit(square, pencil, 8, 3)
+    assert len(captured) > first
+    assert probed == base
+
+
+def test_maximality_probe_on_a_warmed_presentation(monkeypatch):
+    def probe(mod):
+        cert = coefficient_module(mod, 2, random.Random(5))
+        return maximality_probe(mod, cert, random.Random(11), sample_budget=50), cert
+
+    fresh_report, cert = probe(mk(R21, "x1^3", "x2^2"))
+    warm = mk(R21, "x1^3", "x2^2")
+    probe(warm)
+    captured = _count_rees_amao(monkeypatch)
+    assert probe(warm)[0] == fresh_report
+    assert captured == []  # every fit was memoised on the warmed presentation
+    # on a presentation with an empty memo each enlarged module is fit once
+    report = maximality_probe(mk(R21, "x1^3", "x2^2"), cert, random.Random(11), sample_budget=50)
+    assert report == fresh_report
+    assert report.complement_size == 1 and report.samples_tested >= 50
+    assert len(captured) == len(set(captured)) == 1
 
 
 @pytest.mark.parametrize("driver", [coefficient_chain, graded_chain])

@@ -150,6 +150,32 @@ def test_capture_graded_collapse_is_zero():
     assert func.entries() == [0] * 5
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [("x1*t1", "x2*t1", "x1*t2", "x2*t2"), ("x1*t1", "x2*t1", "x1*t2", "x2^2*t2")],
+)
+def test_memoised_graded_tables_match_fresh_presentations(gens):
+    from coeffmod.graded import module_multiply, module_power, quotient_length
+
+    def fresh_length(big_gens, n):
+        mod = mk(R22, *gens)
+        ideal = fitting_ideal(mod)
+        big = ModulePresentation(R22, big_gens)
+        floor = module_multiply(ideal, mod)
+        if n == 1:
+            return quotient_length(big, floor)
+        prev = module_power(mod, n - 1)
+        return quotient_length(module_multiply(big, prev), module_multiply(floor, prev))
+
+    mod = mk(R22, *gens)
+    ideal = fitting_ideal(mod)
+    m = ModulePresentation.maximal_ideal(R22)
+    for big in (mod, module_multiply(m, mod), module_multiply(ideal, mod)):
+        expected = [fresh_length(big.gens, n) for n in range(1, 6)]
+        assert capture_graded(big, mod, ideal, 5).entries() == expected
+        assert capture_graded(big, mod, ideal, 5).entries() == expected  # warmed
+
+
 def test_capture_dispatcher_kinds():
     mf = mk(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
     assert capture("br", 3, mod=mf).kind == "buchsbaum-rim"
