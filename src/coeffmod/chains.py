@@ -12,6 +12,9 @@ Two chains are computed for a submodule M of analytic spread s:
   ideal I(M), where the degree condition reads on the lengths of
   M_[k] M^(n-1) / I(M) M^n and the colon target is I(M) M^(n0+1).
 
+One link search, one chain loop and one complement absorption build both;
+a ChainKind, made per call, holds what separates them.
+
 Maximality of a returned module cannot be decided by finite computation, so
 every certificate separates what is proved (membership in the degree class,
 all inclusions, a verified reduction witness) from what is sampled (the
@@ -22,7 +25,7 @@ elements break the degree bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import CoeffmodError, RegimeError, StructuralError, UnstableFitError
 from .graded import (
@@ -37,7 +40,6 @@ from .graded import (
     modules_equal,
     mono_intersect,
     mono_quotient_monomials,
-    poly_member_monomial,
     quotient_lifts,
     relative_quotient_dim,
     try_monomialize,
@@ -78,8 +80,7 @@ class CoefficientCertificate:
     joins: int
 
     def degree_ok(self) -> bool:
-        d = self.degree_fit.degree
-        return d <= self.threshold if self.inclusive else d < self.threshold
+        return _within(self.degree_fit.degree, self.threshold, self.inclusive)
 
 
 @dataclass
@@ -104,6 +105,10 @@ class ProbeReport:
 # ---------------------------------------------------------------------------
 
 
+def _within(degree: int, threshold: int, inclusive: bool) -> bool:
+    return degree <= threshold if inclusive else degree < threshold
+
+
 def _contains_over(base: ModulePresentation, big: ModulePresentation, small: ModulePresentation) -> bool:
     """small <= big for modules both containing the monomial `base`, robust
     to infinite colength: compare lengths relative to the base."""
@@ -126,6 +131,10 @@ def _equal_over(base: ModulePresentation, a: ModulePresentation, b: ModulePresen
         return da == db == ds
 
 
+def _join(a: ModulePresentation, b: ModulePresentation, hint: Optional[int]) -> ModulePresentation:
+    return try_monomialize(module_sum(a, b), colength_hint=hint)
+
+
 def _fit_with_extension(capture_fn, nmax: int, window: int) -> FittedPolynomial:
     """Fit a table; when the tail has not stabilized, extend it once."""
     try:
@@ -146,23 +155,6 @@ def _n0_schedule(attempt: int, per_level: int = 2) -> int:
     return 1 + attempt // per_level
 
 
-# ---------------------------------------------------------------------------
-# the relative chain (between M and its relative integral closure)
-# ---------------------------------------------------------------------------
-
-
-def _relative_candidate(
-    mod: ModulePresentation,
-    k: int,
-    witness: ReductionWitness,
-    sat_module: ModulePresentation,
-    hint: Optional[int],
-) -> ModulePresentation:
-    target = module_power(mod, witness.n0 + 1)
-    candidate = colon_into_frame(target, witness.elems[:k], sat_module, mod)
-    return try_monomialize(candidate, colength_hint=hint)
-
-
 def _relative_degree_fit(candidate, mod, nmax, window) -> FittedPolynomial:
     """Fit of n -> length(candidate^n / M^n), memoised on M per candidate.
 
@@ -180,48 +172,279 @@ def _relative_degree_fit(candidate, mod, nmax, window) -> FittedPolynomial:
     )
 
 
-def _absorb_complement(
-    result: ModulePresentation,
-    frame: ModulePresentation,
-    degree_ok,
-    join_with,
-):
-    """Grow a verified class member by complement elements of the frame.
+def _graded_degree_fit(candidate, mod, ideal, nmax, window) -> FittedPolynomial:
+    """Fit of n -> length(candidate M^(n-1) / ideal M^n), memoised on M per
+    candidate and ideal."""
+    return memo(
+        mod,
+        (
+            "graded fit",
+            candidate.tdeg,
+            tuple(candidate.gens),
+            ideal.tdeg,
+            tuple(ideal.gens),
+            nmax,
+            window,
+        ),
+        lambda: _fit_with_extension(
+            lambda n: capture_graded(candidate, mod, ideal, n),
+            nmax,
+            window,
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the two chains as kinds of one construction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChainKind:
+    """Everything that separates the relative chain from the graded one.
+
+    Both chains are built by one link search and one chain loop: the link
+    at level k is the largest module above `floor` whose degree fit stays
+    within s - k - shift, reached as the colon of target(n0) by the first k
+    elements of a reduction of M^(n0) inside `frame`, and grown inside `top`
+    by complement absorption.  A kind is built per call, for one base.
+    """
+
+    name: str  # "relative" or "graded", as the degree check reads
+    mod: ModulePresentation  # the base M
+    spread: int
+    floor: ModulePresentation  # M, or I(M) M
+    frame: ModulePresentation  # the colon frame: sat(M), or M
+    top: ModulePresentation  # absorption and probe top: q(M) or sat(M), or M
+    target: Callable  # n0 -> M^(n0+1), or I(M) M^(n0+1)
+    degree_fit: Callable  # candidate -> its memoised FittedPolynomial
+    shift: int  # the threshold is s - k - shift
+    inclusive: bool  # degree <= threshold instead of <
+    finish: Callable  # the check builder: _finish_relative or _finish_graded
+    hint: Optional[int]  # colength of the floor, for monomialising joins
+
+    def threshold(self, k: int) -> int:
+        return self.spread - k - self.shift
+
+    def passes(self, fitted: FittedPolynomial, k: int) -> bool:
+        return _within(fitted.degree, self.threshold(k), self.inclusive)
+
+
+def _relative_kind(mod: ModulePresentation, nmax: int, window: int, spread: Optional[int] = None) -> ChainKind:
+    """The relative chain M <= M_s <= ... <= M_1 <= q(M): degree < s - k for
+    the lengths of M_k^n / M^n, colons of M^(n0+1) inside sat(M)."""
+    s = spread if spread is not None else analytic_spread(mod).spread
+    sat_res = saturate(mod).module
+    return ChainKind(
+        name="relative",
+        mod=mod,
+        spread=s,
+        floor=mod,
+        frame=sat_res,
+        top=relative_closure(mod) if mod.monomial else sat_res,
+        target=lambda n0: module_power(mod, n0 + 1),
+        degree_fit=lambda candidate: _relative_degree_fit(candidate, mod, nmax, window),
+        shift=0,
+        inclusive=False,
+        finish=_finish_relative,
+        hint=_monomial_hint(mod),
+    )
+
+
+def _graded_kind(
+    mod: ModulePresentation,
+    ideal: Optional[ModulePresentation],
+    nmax: int,
+    window: int,
+    spread: Optional[int] = None,
+) -> ChainKind:
+    """The graded chain I(M)M <= M_[s] <= ... <= M_[1] <= M: degree <= s - (k+1)
+    for the lengths of M_[k] M^(n-1) / I(M) M^n, colons of I(M) M^(n0+1)
+    inside M.  The ideal defaults to the Fitting ideal of M."""
+    if not colength_exponent(mod).finite:
+        raise RegimeError("the graded chain needs finite colength")
+    s = spread if spread is not None else analytic_spread(mod).spread
+    ideal = ideal if ideal is not None else fitting_ideal(mod)
+    floor = graded_floors(mod, ideal, 1)[0]
+    return ChainKind(
+        name="graded",
+        mod=mod,
+        spread=s,
+        floor=floor,
+        frame=mod,
+        top=mod,
+        target=lambda n0: module_multiply(ideal, module_power(mod, n0 + 1)),
+        degree_fit=lambda candidate: _graded_degree_fit(candidate, mod, ideal, nmax, window),
+        shift=1,
+        inclusive=True,
+        finish=_finish_graded,
+        hint=_monomial_hint(floor),
+    )
+
+
+def _draws(kind: ChainKind, rng, budget: int):
+    """Verified minimal reductions of M^(n0), one per attempt of the budget."""
+    if budget < 1:
+        raise StructuralError("budget must allow at least one draw")
+    s = kind.spread
+    return (minimal_reduction(kind.mod, _n0_schedule(attempt), s, rng, spread=s) for attempt in range(budget))
+
+
+def _candidate(kind: ChainKind, k: int, witness: ReductionWitness) -> ModulePresentation:
+    candidate = colon_into_frame(kind.target(witness.n0), witness.elems[:k], kind.frame, kind.floor)
+    return try_monomialize(candidate, colength_hint=kind.hint)
+
+
+def _link(kind: ChainKind, k: int, rng, budget: int) -> CoefficientCertificate:
+    """Largest-module candidate for the k-th link of the kind's chain.
+
+    Draws minimal reductions of M^n0 for n0 = 1, 2, ... within the budget,
+    colons the target by the first k reduction elements inside the frame,
+    joins the candidates, and certifies the degree bound on the join.  The
+    returned module is always a proved member of the degree class containing
+    the floor; `complete` records whether the join stabilized across
+    consecutive draws.
+    """
+    if not 1 <= k <= kind.spread:
+        raise StructuralError(f"k = {k} outside 1..{kind.spread}")
+    join = None
+    joins = 0
+    best = None
+    for witness in _draws(kind, rng, budget):
+        candidate = _candidate(kind, k, witness)
+        new_join = candidate if join is None else _join(join, candidate, kind.hint)
+        stable = join is not None and _equal_over(kind.floor, new_join, join)
+        join = new_join
+        joins += 1
+        fitted = kind.degree_fit(join)
+        if kind.passes(fitted, k):
+            best = (join, fitted, witness)
+            if stable:
+                return kind.finish(kind, k, _absorb_complement(kind, k, best), joins, complete=True)
+    if best is None:
+        # fall back to the floor itself, a trivially valid member
+        best = (kind.floor, kind.degree_fit(kind.floor), witness)
+    return kind.finish(kind, k, _absorb_complement(kind, k, best), joins, complete=False)
+
+
+def _chain(kind: ChainKind, rng, budget: int) -> ChainResult:
+    """The whole chain of the kind, reusing one reduction across all k.
+
+    A single (n0, reduction) serves every link; fresh draws happen until
+    every join is stable and passes its bound.  Inclusions along the chain
+    are verified exactly.
+    """
+    s = kind.spread
+    joins = {k: None for k in range(1, s + 1)}
+    witness_used = {}
+    complete = False
+    draws = 0
+    for witness in _draws(kind, rng, budget):
+        draws += 1
+        stable_all = True
+        for k in range(s, 0, -1):
+            candidate = _candidate(kind, k, witness)
+            new_join = candidate if joins[k] is None else _join(joins[k], candidate, kind.hint)
+            if joins[k] is None or not _equal_over(kind.floor, new_join, joins[k]):
+                stable_all = False
+                witness_used[k] = witness
+            joins[k] = new_join
+        if stable_all and all(kind.passes(kind.degree_fit(joins[k]), k) for k in range(s, 0, -1)):
+            complete = True
+            break
+    certificates = []
+    for k in range(s, 0, -1):
+        best = _absorb_complement(kind, k, (joins[k], kind.degree_fit(joins[k]), witness_used[k]))
+        certificates.append(kind.finish(kind, k, best, draws, complete))
+    return ChainResult(s, certificates, _verify_nesting(kind, certificates))
+
+
+def _verify_nesting(kind: ChainKind, certificates) -> bool:
+    previous = kind.floor
+    for cert in certificates:  # k = s down to 1: ascending modules
+        if not _contains_over(kind.floor, cert.result, previous):
+            return False
+        previous = cert.result
+    return module_contains(kind.frame, previous)
+
+
+def _absorb_complement(kind: ChainKind, k: int, best):
+    """Grow a passing candidate by complement elements of the kind's top.
 
     Adjoining y keeps the module inside the degree class only when y lies in
     the unique maximal member, so each absorbed element is provably part of
     the answer; on a monomial chain the fixpoint is the maximal member
     itself, because its quotient by the result is spanned by monomials.
-    Returns (module, number of absorbed elements).
+    Returns (module, its fit, witness, number of absorbed elements).
     """
-    absorbed = result
+    absorbed, fitted, witness = best
+    mod = kind.mod
     added = 0
     changed = True
     while changed:
         changed = False
-        for y in _complement_elements(frame, absorbed):
-            trial = join_with(absorbed, y)
-            if degree_ok(trial):
-                absorbed = trial
+        for y in _complement_elements(kind.top, absorbed):
+            trial = _join(absorbed, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg), kind.hint)
+            trial_fit = kind.degree_fit(trial)
+            if kind.passes(trial_fit, k):
+                absorbed, fitted = trial, trial_fit
                 added += 1
                 changed = True
                 break  # complement shifted; re-enumerate
-    return absorbed, added
+    return absorbed, fitted, witness, added
 
 
-def _absorb_relative(mod, s, k, result, sat_res, hint, nmax, window):
-    frame = relative_closure(mod) if mod.monomial else sat_res
+def _certificate(kind: ChainKind, k: int, best, joins: int, complete: bool, checks) -> CoefficientCertificate:
+    """The certificate of one link, with the kind's verified inclusions
+    `checks` between the reduction and absorption records and the bound."""
+    result, fitted, witness, added = best
+    cert = CoefficientCertificate(
+        k=k,
+        n0=witness.n0,
+        reduction=witness,
+        result=result,
+        degree_fit=fitted,
+        threshold=kind.threshold(k),
+        inclusive=kind.inclusive,
+        checks_passed=[
+            "reduction verified (s elements, stabilized powers)",
+            f"complement absorption reached a fixpoint ({added} elements added)",
+            *checks,
+        ],
+        complete=complete,
+        joins=joins,
+    )
+    if cert.degree_ok():
+        rel = "<=" if cert.inclusive else "<"
+        cert.checks_passed.append(f"{kind.name} degree {fitted.degree} {rel} {cert.threshold}")
+    return cert
 
-    def degree_ok(trial):
-        return _relative_degree_fit(trial, mod, nmax, window).degree < s - k
 
-    def join_with(current, y):
-        return try_monomialize(
-            module_sum(current, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg)),
-            colength_hint=hint,
-        )
+def _finish_relative(kind: ChainKind, k: int, best, joins: int, complete: bool) -> CoefficientCertificate:
+    result = best[0]
+    checks = []
+    if _contains_over(kind.floor, result, kind.floor):
+        checks.append("contains the base module")
+    if module_contains(kind.frame, result):
+        checks.append("inside the saturation frame")
+    if kind.mod.monomial and module_contains(kind.top, result):
+        checks.append("inside the relative integral closure")
+    return _certificate(kind, k, best, joins, complete, checks)
 
-    return _absorb_complement(result, frame, degree_ok, join_with)
+
+def _finish_graded(kind: ChainKind, k: int, best, joins: int, complete: bool) -> CoefficientCertificate:
+    result = best[0]
+    checks = []
+    if _contains_over(kind.floor, result, kind.floor):
+        checks.append("contains ideal * M")
+    if module_contains(kind.frame, result):
+        checks.append("inside the base module")
+    return _certificate(kind, k, best, joins, complete, checks)
+
+
+# ---------------------------------------------------------------------------
+# the public entry points
+# ---------------------------------------------------------------------------
 
 
 def coefficient_module(
@@ -232,95 +455,13 @@ def coefficient_module(
     nmax: int = 8,
     window: int = 3,
     spread: Optional[int] = None,
-    sat_module: Optional[ModulePresentation] = None,
-    reduction: Optional[ReductionWitness] = None,
 ) -> CoefficientCertificate:
     """Largest-module candidate for the k-th link of the relative chain.
 
-    Draws minimal reductions of M^n0 for n0 = 1, 2, ... within the budget,
-    colons the next power by the first k reduction elements inside the
-    saturation frame, joins the candidates, and certifies the degree bound
-    on the join.  The returned module is always a proved member of the
-    degree class containing M; `complete` records whether the join
-    stabilized across consecutive draws.
+    The colon target is M^(n0+1) inside the saturation frame, and the
+    certified bound is degree < s - k for the lengths of result^n / M^n.
     """
-    if budget < 1:
-        raise StructuralError("budget must allow at least one draw")
-    s = spread if spread is not None else analytic_spread(mod).spread
-    if not 1 <= k <= s:
-        raise StructuralError(f"k = {k} outside 1..{s}")
-    sat_res = sat_module if sat_module is not None else saturate(mod).module
-    hint = _monomial_hint(mod)
-    join = None
-    joins = 0
-    best = None
-    witness = None
-    for attempt in range(budget):
-        if reduction is not None and attempt == 0:
-            witness = reduction
-        else:
-            n0 = _n0_schedule(attempt)
-            witness = minimal_reduction(mod, n0, s, rng, spread=s)
-        candidate = _relative_candidate(mod, k, witness, sat_res, hint)
-        if join is None:
-            new_join = candidate
-        else:
-            new_join = try_monomialize(module_sum(join, candidate), colength_hint=hint)
-        stable = join is not None and _equal_over(mod, new_join, join)
-        join = new_join
-        joins += 1
-        fitted = _relative_degree_fit(join, mod, nmax, window)
-        if fitted.degree < s - k:
-            best = (join, fitted, witness)
-            if stable:
-                return _finish_relative(
-                    mod, k, s, sat_res, _absorbed_best(mod, s, k, best, sat_res, hint, nmax, window),
-                    joins, complete=True,
-                )
-    if best is None:
-        # fall back to the floor itself, a trivially valid member
-        trivial = _relative_degree_fit(mod, mod, nmax, window)
-        best = (mod, trivial, witness)
-    best = _absorbed_best(mod, s, k, best, sat_res, hint, nmax, window)
-    return _finish_relative(mod, k, s, sat_res, best, joins, complete=False)
-
-
-def _absorbed_best(mod, s, k, best, sat_res, hint, nmax, window):
-    """Run complement absorption on a passing candidate; refresh its fit."""
-    result, fitted, witness = best
-    absorbed, added = _absorb_relative(mod, s, k, result, sat_res, hint, nmax, window)
-    if added:
-        fitted = _relative_degree_fit(absorbed, mod, nmax, window)
-    return absorbed, fitted, witness, added
-
-
-def _finish_relative(mod, k, s, sat_res, best, joins, complete) -> CoefficientCertificate:
-    result, fitted, witness, added = best
-    checks = ["reduction verified (s elements, stabilized powers)"]
-    checks.append(f"complement absorption reached a fixpoint ({added} elements added)")
-    if _contains_over(mod, result, mod):
-        checks.append("contains the base module")
-    if all(poly_member_monomial(g, sat_res.mono_gens) for g in result.gens):
-        checks.append("inside the saturation frame")
-    if mod.monomial:
-        closure = relative_closure(mod)
-        if all(poly_member_monomial(g, closure.mono_gens) for g in result.gens):
-            checks.append("inside the relative integral closure")
-    cert = CoefficientCertificate(
-        k=k,
-        n0=witness.n0,
-        reduction=witness,
-        result=result,
-        degree_fit=fitted,
-        threshold=s - k,
-        inclusive=False,
-        checks_passed=checks,
-        complete=complete,
-        joins=joins,
-    )
-    if cert.degree_ok():
-        cert.checks_passed.append(f"relative degree {fitted.degree} < {s - k}")
-    return cert
+    return _link(_relative_kind(mod, nmax, window, spread), k, rng, budget)
 
 
 def coefficient_chain(
@@ -330,86 +471,57 @@ def coefficient_chain(
     nmax: int = 8,
     window: int = 3,
 ) -> ChainResult:
-    """The whole relative chain, reusing one reduction across all k.
-
-    A single (n0, reduction) serves every link; fresh draws happen only on
-    verification failure.  Inclusions along the chain are verified exactly.
-    """
-    s = analytic_spread(mod).spread
-    sat_res = saturate(mod).module
-    hint = _monomial_hint(mod)
-    joins = {k: None for k in range(1, s + 1)}
-    fits = {}
-    witness_used = {}
-    witness = None
-    all_pass = False
-    draws = 0
-    for attempt in range(budget):
-        n0 = _n0_schedule(attempt)
-        witness = minimal_reduction(mod, n0, s, rng, spread=s)
-        draws += 1
-        stable_all = True
-        for k in range(s, 0, -1):
-            candidate = _relative_candidate(mod, k, witness, sat_res, hint)
-            if joins[k] is None:
-                new_join = candidate
-            else:
-                new_join = try_monomialize(module_sum(joins[k], candidate), colength_hint=hint)
-            if joins[k] is None or not _equal_over(mod, new_join, joins[k]):
-                stable_all = False
-                witness_used[k] = witness
-            elif k not in witness_used:
-                witness_used[k] = witness
-            joins[k] = new_join
-        if stable_all:
-            fits = {}
-            all_pass = True
-            for k in range(s, 0, -1):
-                fitted = _relative_degree_fit(joins[k], mod, nmax, window)
-                fits[k] = fitted
-                if not fitted.degree < s - k:
-                    all_pass = False
-                    break
-            if all_pass:
-                break
-    complete = all_pass and len(fits) == s
-    certificates = []
-    for k in range(s, 0, -1):
-        fitted = fits.get(k) or _relative_degree_fit(joins[k], mod, nmax, window)
-        best = _absorbed_best(
-            mod, s, k, (joins[k], fitted, witness_used.get(k, witness)), sat_res, hint, nmax, window
-        )
-        certificates.append(_finish_relative(mod, k, s, sat_res, best, draws, complete))
-    nesting = _verify_relative_nesting(mod, certificates, sat_res)
-    closure_link = None
+    """The whole relative chain; a monomial M also gets its k = 0 link q(M)."""
+    kind = _relative_kind(mod, nmax, window)
+    chain = _chain(kind, rng, budget)
     if mod.monomial:
-        qmod = relative_closure(mod)
-        q_fit = _relative_degree_fit(qmod, mod, nmax, window)
-        closure_link = CoefficientCertificate(
+        qmod = kind.top
+        chain.closure_link = CoefficientCertificate(
             k=0,
             n0=0,
             reduction=ReductionWitness([], 0, 0),
             result=qmod,
-            degree_fit=q_fit,
-            threshold=s,
+            degree_fit=kind.degree_fit(qmod),
+            threshold=kind.spread,
             inclusive=False,
             checks_passed=["relative integral closure computed from the exponent polyhedron"],
             complete=True,
             joins=0,
         )
-        nesting = nesting and _contains_over(mod, qmod, certificates[-1].result)
-    return ChainResult(s, certificates, nesting, closure_link)
+        chain.nesting_verified = chain.nesting_verified and _contains_over(mod, qmod, chain.certificates[-1].result)
+    return chain
 
 
-def _verify_relative_nesting(mod, certificates, sat_res) -> bool:
-    previous = mod
-    for cert in certificates:  # k = s down to 1: ascending modules
-        if not _contains_over(mod, cert.result, previous):
-            return False
-        previous = cert.result
-    if sat_res.monomial:
-        return all(poly_member_monomial(g, sat_res.mono_gens) for g in previous.gens)
-    return module_contains(sat_res, previous)
+def graded_coefficient_module(
+    mod: ModulePresentation,
+    k: int,
+    rng,
+    budget: int = 8,
+    nmax: int = 8,
+    window: int = 3,
+    ideal: Optional[ModulePresentation] = None,
+    spread: Optional[int] = None,
+) -> CoefficientCertificate:
+    """Largest-module candidate between I(M)M and M at graded level k.
+
+    The colon target is ideal * M^(n0+1) and the certified bound is
+    degree <= s - (k+1) for the lengths of result * M^(n-1) / ideal * M^n.
+    The ideal defaults to the Fitting ideal of M and must be supplied when
+    M is itself a power of a smaller module.
+    """
+    return _link(_graded_kind(mod, ideal, nmax, window, spread), k, rng, budget)
+
+
+def graded_chain(
+    mod: ModulePresentation,
+    rng,
+    budget: int = 6,
+    nmax: int = 8,
+    window: int = 3,
+    ideal: Optional[ModulePresentation] = None,
+) -> ChainResult:
+    """The whole graded chain with one reduction shared across k."""
+    return _chain(_graded_kind(mod, ideal, nmax, window), rng, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +559,8 @@ def maximality_probe(
     """
     if cert.inclusive:
         raise StructuralError("maximality_probe takes relative-chain certificates, not graded ones")
-    s = cert.threshold + cert.k
-    if mod.monomial:
-        top = relative_closure(mod)
-    else:
-        top = saturate(mod).module
-    complement = _complement_elements(top, cert.result)
+    kind = _relative_kind(mod, nmax, window, spread=cert.threshold + cert.k)
+    complement = _complement_elements(kind.top, cert.result)
     if not complement:
         return ProbeReport(cert.k, 0, 0, [], vacuous=True)
     picks = [complement[rng.randrange(len(complement))] for _ in range(sample_budget)]
@@ -462,230 +570,16 @@ def maximality_probe(
         combo = a.scale(mod.ring.field.random(rng)).add(b.scale(mod.ring.field.random(rng)))
         if not combo.is_zero():
             picks.append(combo)
-    hint = _monomial_hint(mod)
     violations = []
     tested = 0
     for y in picks:
-        enlarged = try_monomialize(
-            module_sum(cert.result, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg)),
-            colength_hint=hint,
-        )
+        enlarged = _join(cert.result, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg), kind.hint)
         if _equal_over(mod, enlarged, cert.result):
             continue  # the pick was inside after all; not a complement point
         tested += 1
-        fitted = _relative_degree_fit(enlarged, mod, nmax, window)
-        if fitted.degree < s - cert.k:
+        if kind.passes(kind.degree_fit(enlarged), cert.k):
             violations.append(y.text())
     return ProbeReport(cert.k, len(complement), tested, violations, vacuous=False)
-
-
-# ---------------------------------------------------------------------------
-# the graded chain (between I(M)M and M)
-# ---------------------------------------------------------------------------
-
-
-def _graded_candidate(mod, k, witness, floor, ideal, hint):
-    target = module_multiply(ideal, module_power(mod, witness.n0 + 1))
-    candidate = colon_into_frame(target, witness.elems[:k], mod, floor)
-    return try_monomialize(candidate, colength_hint=hint)
-
-
-def _graded_degree_fit(candidate, mod, ideal, nmax, window) -> FittedPolynomial:
-    """Fit of n -> length(candidate M^(n-1) / ideal M^n), memoised on M per
-    candidate and ideal."""
-    return memo(
-        mod,
-        (
-            "graded fit",
-            candidate.tdeg,
-            tuple(candidate.gens),
-            ideal.tdeg,
-            tuple(ideal.gens),
-            nmax,
-            window,
-        ),
-        lambda: _fit_with_extension(
-            lambda n: capture_graded(candidate, mod, ideal, n),
-            nmax,
-            window,
-        ),
-    )
-
-
-def _absorbed_graded_best(mod, s, k, best, ideal, hint, nmax, window):
-    """Complement absorption inside the base module for the graded chain."""
-    result, fitted, witness = best
-
-    def degree_ok(trial):
-        return _graded_degree_fit(trial, mod, ideal, nmax, window).degree <= s - (k + 1)
-
-    def join_with(current, y):
-        return try_monomialize(
-            module_sum(current, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg)),
-            colength_hint=hint,
-        )
-
-    absorbed, added = _absorb_complement(result, mod, degree_ok, join_with)
-    if added:
-        fitted = _graded_degree_fit(absorbed, mod, ideal, nmax, window)
-    return absorbed, fitted, witness, added
-
-
-def graded_coefficient_module(
-    mod: ModulePresentation,
-    k: int,
-    rng,
-    budget: int = 8,
-    nmax: int = 8,
-    window: int = 3,
-    ideal: Optional[ModulePresentation] = None,
-    spread: Optional[int] = None,
-) -> CoefficientCertificate:
-    """Largest-module candidate between I(M)M and M at graded level k.
-
-    The colon target is ideal * M^(n0+1) and the certified bound is
-    degree <= s - (k+1) for the lengths of result * M^(n-1) / ideal * M^n.
-    The ideal defaults to the Fitting ideal of M and must be supplied when
-    M is itself a power of a smaller module.
-    """
-    if budget < 1:
-        raise StructuralError("budget must allow at least one draw")
-    witness0 = colength_exponent(mod)
-    if not witness0.finite:
-        raise RegimeError("the graded chain needs finite colength")
-    s = spread if spread is not None else analytic_spread(mod).spread
-    if not 1 <= k <= s:
-        raise StructuralError(f"k = {k} outside 1..{s}")
-    ideal = ideal if ideal is not None else fitting_ideal(mod)
-    floor = graded_floors(mod, ideal, 1)[0]
-    hint = _monomial_hint(floor)
-    join = None
-    joins = 0
-    best = None
-    witness = None
-    for attempt in range(budget):
-        n0 = _n0_schedule(attempt)
-        witness = minimal_reduction(mod, n0, s, rng, spread=s)
-        candidate = _graded_candidate(mod, k, witness, floor, ideal, hint)
-        if join is None:
-            new_join = candidate
-        else:
-            new_join = try_monomialize(module_sum(join, candidate), colength_hint=hint)
-        stable = join is not None and _equal_over(floor, new_join, join)
-        join = new_join
-        joins += 1
-        fitted = _graded_degree_fit(join, mod, ideal, nmax, window)
-        if fitted.degree <= s - (k + 1):
-            best = (join, fitted, witness)
-            if stable:
-                return _finish_graded(
-                    mod, k, s, floor,
-                    _absorbed_graded_best(mod, s, k, best, ideal, hint, nmax, window),
-                    joins, complete=True,
-                )
-    if best is None:
-        trivial = _graded_degree_fit(floor, mod, ideal, nmax, window)
-        best = (floor, trivial, witness)
-    best = _absorbed_graded_best(mod, s, k, best, ideal, hint, nmax, window)
-    return _finish_graded(mod, k, s, floor, best, joins, complete=False)
-
-
-def _finish_graded(mod, k, s, floor, best, joins, complete) -> CoefficientCertificate:
-    result, fitted, witness, added = best
-    checks = ["reduction verified (s elements, stabilized powers)"]
-    checks.append(f"complement absorption reached a fixpoint ({added} elements added)")
-    if _contains_over(floor, result, floor):
-        checks.append("contains ideal * M")
-    if module_contains(mod, result):
-        checks.append("inside the base module")
-    cert = CoefficientCertificate(
-        k=k,
-        n0=witness.n0,
-        reduction=witness,
-        result=result,
-        degree_fit=fitted,
-        threshold=s - (k + 1),
-        inclusive=True,
-        checks_passed=checks,
-        complete=complete,
-        joins=joins,
-    )
-    if cert.degree_ok():
-        cert.checks_passed.append(f"graded degree {fitted.degree} <= {s - (k + 1)}")
-    return cert
-
-
-def graded_chain(
-    mod: ModulePresentation,
-    rng,
-    budget: int = 6,
-    nmax: int = 8,
-    window: int = 3,
-    ideal: Optional[ModulePresentation] = None,
-) -> ChainResult:
-    """The whole graded chain with one reduction shared across k."""
-    witness0 = colength_exponent(mod)
-    if not witness0.finite:
-        raise RegimeError("the graded chain needs finite colength")
-    s = analytic_spread(mod).spread
-    ideal = ideal if ideal is not None else fitting_ideal(mod)
-    floor = graded_floors(mod, ideal, 1)[0]
-    hint = _monomial_hint(floor)
-    joins = {k: None for k in range(1, s + 1)}
-    fits = {}
-    witness_used = {}
-    witness = None
-    all_pass = False
-    draws = 0
-    for attempt in range(budget):
-        n0 = _n0_schedule(attempt)
-        witness = minimal_reduction(mod, n0, s, rng, spread=s)
-        draws += 1
-        stable_all = True
-        for k in range(s, 0, -1):
-            candidate = _graded_candidate(mod, k, witness, floor, ideal, hint)
-            if joins[k] is None:
-                new_join = candidate
-            else:
-                new_join = try_monomialize(module_sum(joins[k], candidate), colength_hint=hint)
-            if joins[k] is None or not _equal_over(floor, new_join, joins[k]):
-                stable_all = False
-                witness_used[k] = witness
-            elif k not in witness_used:
-                witness_used[k] = witness
-            joins[k] = new_join
-        if stable_all:
-            fits = {}
-            all_pass = True
-            for k in range(s, 0, -1):
-                fitted = _graded_degree_fit(joins[k], mod, ideal, nmax, window)
-                fits[k] = fitted
-                if not fitted.degree <= s - (k + 1):
-                    all_pass = False
-                    break
-            if all_pass:
-                break
-    complete = all_pass and len(fits) == s
-    certificates = []
-    for k in range(s, 0, -1):
-        fitted = fits.get(k) or _graded_degree_fit(joins[k], mod, ideal, nmax, window)
-        best = _absorbed_graded_best(
-            mod, s, k, (joins[k], fitted, witness_used.get(k, witness)), ideal, hint, nmax, window
-        )
-        certificates.append(_finish_graded(mod, k, s, floor, best, draws, complete))
-    nesting = _verify_graded_nesting(mod, floor, certificates)
-    return ChainResult(s, certificates, nesting)
-
-
-def _verify_graded_nesting(mod, floor, certificates) -> bool:
-    previous = floor
-    for cert in certificates:  # k = s down to 1: ascending modules
-        if not _contains_over(floor, cert.result, previous):
-            return False
-        previous = cert.result
-    if mod.monomial:
-        return all(poly_member_monomial(g, mod.mono_gens) for g in previous.gens)
-    return module_contains(mod, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +595,11 @@ class CheckReport:
 
 
 def check_top_link_meets_ratliff_rush(
-    mod: ModulePresentation, rng, budget: int = 8, nmax: int = 8
+    mod: ModulePresentation, rng, budget: int = 8, nmax: int = 8, window: int = 3
 ) -> CheckReport:
     """The k = s link must equal the Ratliff-Rush closure meet saturation."""
     s = analytic_spread(mod).spread
-    cert = coefficient_module(mod, s, rng, budget=budget, nmax=nmax, spread=s)
+    cert = coefficient_module(mod, s, rng, budget=budget, nmax=nmax, window=window, spread=s)
     rr = ratliff_rush(mod).module
     sat_res = saturate(mod).module
     if mod.monomial:
@@ -728,7 +622,7 @@ def check_top_link_meets_ratliff_rush(
 
 
 def check_coefficient_preservation(
-    mod: ModulePresentation, k: int, rng, budget: int = 8, nmax: int = 8
+    mod: ModulePresentation, k: int, rng, budget: int = 8, nmax: int = 8, window: int = 3
 ) -> CheckReport:
     """The first k+1 length-polynomial coefficients of M survive in M_k.
 
@@ -757,11 +651,11 @@ def check_coefficient_preservation(
         link = relative_closure(mod)
         complete = True
     else:
-        cert = coefficient_module(mod, k, rng, budget=budget, nmax=nmax, spread=s)
+        cert = coefficient_module(mod, k, rng, budget=budget, nmax=nmax, window=window, spread=s)
         link = cert.result
         complete = cert.complete
-    base_fit = fit(capture_buchsbaum_rim(mod, nmax))
-    link_fit = fit(capture_buchsbaum_rim(link, nmax))
+    base_fit = fit(capture_buchsbaum_rim(mod, nmax), window=window)
+    link_fit = fit(capture_buchsbaum_rim(link, nmax), window=window)
     base_coeffs = base_fit.binomial_coefficients(top)
     link_coeffs = link_fit.binomial_coefficients(top)
     agree = base_coeffs[: k + 1] == link_coeffs[: k + 1]
@@ -784,6 +678,7 @@ def check_power_collapse(
     n_range: int = 4,
     budget: int = 6,
     nmax: int = 8,
+    window: int = 3,
 ) -> CheckReport:
     """For n = 1..n_range, test whether the graded link of M^n collapses to
     I(M) M^n; for rank one also evaluate the relative-chain analogue
@@ -799,12 +694,12 @@ def check_power_collapse(
     for n in range(1, n_range + 1):
         power = module_power(mod, n)
         gcert = graded_coefficient_module(
-            power, k, rng, budget=budget, nmax=nmax, ideal=ideal, spread=s
+            power, k, rng, budget=budget, nmax=nmax, window=window, ideal=ideal, spread=s
         )
         floor_n = module_multiply(ideal, power)
         collapse.append((n, _equal_over(floor_n, gcert.result, floor_n)))
         if ring.p == 1:
-            rcert = coefficient_module(power, k, rng, budget=budget, nmax=nmax, spread=s)
+            rcert = coefficient_module(power, k, rng, budget=budget, nmax=nmax, window=window, spread=s)
             second.append((n, _equal_over(power, rcert.result, power)))
     details = {"k": k, "graded collapse by n": collapse}
     passed = True

@@ -357,7 +357,7 @@ def _cmd_minred(mod, meta, opts, rng):
 
 
 def _cmd_coeff(mod, meta, opts, rng):
-    cert = coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax)
+    cert = coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window)
     payload = _certificate_payload(cert)
     return {"certificate": payload}, [
         {"name": f"degree bound for k={opts.k}", "pass": cert.degree_ok()}
@@ -365,7 +365,7 @@ def _cmd_coeff(mod, meta, opts, rng):
 
 
 def _cmd_coeff_chain(mod, meta, opts, rng):
-    chain = coefficient_chain(mod, rng, budget=opts.budget, nmax=opts.nmax)
+    chain = coefficient_chain(mod, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window)
     results = {
         "spread": chain.spread,
         "links": [_certificate_payload(c) for c in chain.certificates],
@@ -384,15 +384,15 @@ def _cmd_coeff_chain(mod, meta, opts, rng):
 
 
 def _cmd_gcoeff(mod, meta, opts, rng):
-    cert = graded_coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax)
+    cert = graded_coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window)
     return {"certificate": _certificate_payload(cert)}, [
         {"name": f"graded degree bound for k={opts.k}", "pass": cert.degree_ok()}
     ]
 
 
 def _cmd_probe(mod, meta, opts, rng):
-    cert = coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax)
-    probe = maximality_probe(mod, cert, rng, sample_budget=opts.samples, nmax=opts.nmax)
+    cert = coefficient_module(mod, opts.k, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window)
+    probe = maximality_probe(mod, cert, rng, sample_budget=opts.samples, nmax=opts.nmax, window=opts.window)
     results = {
         "certificate": _certificate_payload(cert),
         "complement size": probe.complement_size,
@@ -404,7 +404,9 @@ def _cmd_probe(mod, meta, opts, rng):
 
 
 def _cmd_check_5_8(mod, meta, opts, rng):
-    report = check_power_collapse(mod, opts.k, rng, n_range=opts.nrange, budget=opts.budget, nmax=opts.nmax)
+    report = check_power_collapse(
+        mod, opts.k, rng, n_range=opts.nrange, budget=opts.budget, nmax=opts.nmax, window=opts.window
+    )
     details = {
         key: (value if not isinstance(value, list) else [list(map(str, v)) for v in value])
         for key, value in report.details.items()
@@ -417,7 +419,9 @@ def _cmd_check_5_8(mod, meta, opts, rng):
 def _cmd_verify(mod, meta, opts, rng):
     suite = opts.suite
     if suite == "prop52":
-        report = check_top_link_meets_ratliff_rush(mod, rng, budget=opts.budget, nmax=opts.nmax)
+        report = check_top_link_meets_ratliff_rush(
+            mod, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window
+        )
     elif suite == "lemma22":
         report = _suite_closure_laws(mod)
     elif suite == "cor26":
@@ -425,7 +429,9 @@ def _cmd_verify(mod, meta, opts, rng):
     elif suite == "rees":
         report = _suite_reduction_degree_equivalence(mod, rng, opts)
     elif suite == "cor57":
-        report = check_coefficient_preservation(mod, opts.k or 0, rng, budget=opts.budget, nmax=opts.nmax)
+        report = check_coefficient_preservation(
+            mod, opts.k or 0, rng, budget=opts.budget, nmax=opts.nmax, window=opts.window
+        )
     else:
         raise CoeffmodError(f"unknown verification suite {suite!r}")
     return {"check": report.name, "details": {k: str(v) for k, v in report.details.items()}}, [
@@ -483,7 +489,7 @@ def _suite_reduction_degree_equivalence(mod, rng, opts):
     witness = minimal_reduction(mod, 1, spread, rng, spread=spread)
     sub = ModulePresentation(ring, witness.elems, tdeg=mod.tdeg)
     table = capture_rees_amao(mod, sub, opts.nmax, verify_inclusion=False)
-    low_degree, fitted = degree_test(table, top)
+    low_degree, fitted = degree_test(table, top, window=opts.window)
     agree = low_degree  # the witness already certifies the reduction
     return CheckReport(
         "reduction iff relative degree drop",

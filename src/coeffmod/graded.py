@@ -84,21 +84,6 @@ class ColengthWitness:
         return self.exponent is not None
 
 
-@dataclass
-class GradedPiece:
-    """Truncated vector-space model of one t-graded component."""
-
-    ring: RingDescriptor
-    tdeg: int
-    bound: int
-    basis: Subspace
-    soundness: dict
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
 def _canonical_scale(poly: PolyElement) -> PolyElement:
     """Scale to a canonical generator: leading coefficient 1 over a prime
     field, primitive integer coefficients with positive leading term over Q."""
@@ -153,7 +138,6 @@ class ModulePresentation:
             cleaned = [PolyElement.from_monomial(ring, m) for m in monos]
         self.gens = sorted(cleaned, key=lambda g: g.leading_monomial().key, reverse=True)
         self._powers = {1: self}
-        self._colength: Optional[ColengthWitness] = None
         self._span = None  # (absolute bound, Subspace): the last truncated span built
         self._buckets = None
         self._memo = {}  # base-side results of chains, fits and closures; see memo()
@@ -271,12 +255,6 @@ class MonomialBuckets:
             return False
         mx = m.xexp
         return any(all(a <= b for a, b in zip(x, mx)) for x in bucket)
-
-
-def poly_member_monomial(poly: PolyElement, gens) -> bool:
-    """A polynomial lies in a monomial module iff every term does."""
-    buckets = MonomialBuckets(gens)
-    return all(buckets.contains(m) for m in poly.coeffs)
 
 
 def mono_intersect(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
@@ -484,25 +462,23 @@ def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialInd
 
 
 def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> ColengthWitness:
-    """Least c >= 0 with m^c F^g inside the module.
+    """Least c >= 0 with m^c F^g inside the module, memoised on it.
 
     The monomial path decides infinite colength exactly; the general path
     searches upward and reports an undecided error at the ceiling.  Each
     candidate c is checked through the truncated quotient at bound c+1,
     which is exact by Nakayama over the local ring.
     """
-    if mod._colength is not None and TRUNC_MARGIN == 0:
-        return mod._colength
+    return memo(mod, ("colength",), lambda: _colength_search(mod, ceiling))
+
+
+def _colength_search(mod: ModulePresentation, ceiling: int) -> ColengthWitness:
     ring = mod.ring
     if mod.is_zero():
-        witness = ColengthWitness(None, "zero module")
-        mod._colength = witness
-        return witness
+        return ColengthWitness(None, "zero module")
     if mod.monomial:
         if not _mono_finite_colength(mod):
-            witness = ColengthWitness(None, "monomial staircase is infinite")
-            mod._colength = witness
-            return witness
+            return ColengthWitness(None, "monomial staircase is infinite")
         buckets = mod.buckets
         for c in range(ceiling + 1):
             if all(
@@ -510,57 +486,16 @@ def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) 
                 for alpha in compositions(c, ring.d)
                 for beta in compositions(mod.tdeg, ring.p)
             ):
-                witness = ColengthWitness(c, "monomial divisibility sweep")
-                mod._colength = witness
-                return witness
+                return ColengthWitness(c, "monomial divisibility sweep")
         raise UndecidedColengthError(f"monomial colength exceeds ceiling {ceiling}")
     for c in range(ceiling + 1):
         bound = c + 1 + TRUNC_MARGIN
         index = MonomialIndex(ring, mod.tdeg, bound)
         span = module_span(mod, bound, index)
         if span.contains_unit_vectors(index.degree_columns(c)):
-            witness = ColengthWitness(c, f"truncated sweep at bound {bound}")
-            if TRUNC_MARGIN == 0:
-                mod._colength = witness
-            return witness
+            return ColengthWitness(c, f"truncated sweep at bound {bound}")
     raise UndecidedColengthError(
         f"colength undecided up to ceiling {ceiling}; enlarge it or use a monomial presentation"
-    )
-
-
-def piece(mod: ModulePresentation, n: int, bound: Optional[int] = None) -> GradedPiece:
-    """Truncated model of the degree-n*g component of the n-th power.
-
-    When no bound is given it is derived from the colength witness:
-    m^c F^g inside the module gives m^(c*n) F^(g*n) inside the power.
-    """
-    justification = "caller-specified bound"
-    if bound is None:
-        witness = colength_exponent(mod)
-        if not witness.finite:
-            raise InfiniteLengthError("no finite truncation bound exists; module has infinite colength")
-        bound = witness.exponent * n + 1
-        justification = f"colength exponent {witness.exponent} scaled to power {n}"
-    bound += TRUNC_MARGIN
-    power = module_power(mod, n)
-    index = MonomialIndex(mod.ring, power.tdeg, bound)
-    if power.monomial:
-        # divisibility picks out a coordinate subspace of the chart
-        rows = []
-        for i, m in enumerate(index.monomials):
-            if power.buckets.contains(m):
-                row = [0] * index.dim
-                row[i] = 1
-                rows.append(row)
-        basis = Subspace.from_rows(mod.ring.field, index.dim, rows)
-    else:
-        basis = module_span(power, bound, index)
-    return GradedPiece(
-        ring=mod.ring,
-        tdeg=power.tdeg,
-        bound=bound,
-        basis=basis,
-        soundness={"c": bound - TRUNC_MARGIN - 1, "justification": justification},
     )
 
 
@@ -581,7 +516,7 @@ def module_membership(elem: PolyElement, mod: ModulePresentation, witness: Optio
         witness = colength_exponent(mod)
     if not witness.finite:
         raise RegimeError("general-regime membership needs finite colength")
-    bound = max(witness.exponent, 1) + TRUNC_MARGIN
+    bound = witness.exponent + 1 + TRUNC_MARGIN
     index = MonomialIndex(mod.ring, mod.tdeg, bound)
     span = module_span(mod, bound, index)
     return span.contains_vector(index.vector(elem))
@@ -595,7 +530,7 @@ def module_contains(big: ModulePresentation, small: ModulePresentation) -> bool:
     witness = colength_exponent(big)
     if not witness.finite:
         raise RegimeError("containment in a general module needs finite colength")
-    bound = max(witness.exponent, 1) + TRUNC_MARGIN
+    bound = witness.exponent + 1 + TRUNC_MARGIN
     index = MonomialIndex(big.ring, big.tdeg, bound)
     span = module_span(big, bound, index)
     return all(span.contains_vector(index.vector(g)) for g in small.gens)
@@ -635,13 +570,6 @@ def quotient_length(big: ModulePresentation, small: ModulePresentation, verify_i
     if small.monomial:
         return relative_quotient_dim(big, small)
     return _general_pair_length(big, small)
-
-
-def length_of_quotient(big: ModulePresentation, small: ModulePresentation, n: int) -> int:
-    """Length of big^n / small^n; the pair inclusion is verified."""
-    bn = module_power(big, n)
-    sn = module_power(small, n)
-    return quotient_length(bn, sn)
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,6 @@ class ExactMatrix:
             return self.data[i]
         return self.data[i]
 
-    def get(self, i: int, j: int):
-        if isinstance(self.field, PrimeField):
-            return int(self.data[i, j])
-        return self.data[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix) or self.field != other.field:
             return False
@@ -355,8 +350,8 @@ def kernel_basis(m: ExactMatrix):
 
 
 class Subspace:
-    """A subspace of k^n held as an RREF basis; supports sum, intersection,
-    membership and dimension."""
+    """A subspace of k^n held as an RREF basis; supports membership,
+    containment and dimension."""
 
     def __init__(self, field: Field, ambient: int, matrix: ExactMatrix, pivots):
         self.field = field
@@ -441,36 +436,6 @@ class Subspace:
             return False
         self._check(other)
         return self.matrix == other.matrix
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        rows = [self.matrix.row(i) for i in range(self.dim)]
-        rows += [other.matrix.row(i) for i in range(other.dim)]
-        return Subspace.from_rows(self.field, self.ambient, rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the left kernel of the stacked basis matrices."""
-        self._check(other)
-        a, b = self.dim, other.dim
-        if a == 0 or b == 0:
-            return Subspace.from_rows(self.field, self.ambient, [])
-        if isinstance(self.field, PrimeField):
-            stacked = np.vstack([self.matrix.data, other.matrix.data])
-            left = kernel_basis(ExactMatrix(self.field, stacked.T, copy=False))
-            rows = [(w[:a] @ self.matrix.data) % self.field.q for w in left]
-        else:
-            stacked = self.matrix.data + other.matrix.data
-            cols = self.ambient
-            transposed = [[stacked[i][j] for i in range(a + b)] for j in range(cols)]
-            left = kernel_basis(ExactMatrix(self.field, transposed))
-            rows = []
-            for w in left:
-                vec = [Fraction(0)] * cols
-                for i in range(a):
-                    if w[i] != 0:
-                        vec = [x + w[i] * y for x, y in zip(vec, self.matrix.data[i])]
-                rows.append(vec)
-        return Subspace.from_rows(self.field, self.ambient, rows)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"

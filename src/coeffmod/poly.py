@@ -402,24 +402,6 @@ def t_basis(ring: RingDescriptor, n: int):
     return [Monomial(zero_x, t) for t in compositions(n, ring.p)]
 
 
-def enumerate_basis(ring: RingDescriptor, n: int, bound: int):
-    """All monomials with tdeg = n and xdeg < bound, canonically ordered.
-
-    The count is C(n+p-1, p-1) * C(bound-1+d, d).
-    """
-    out = [
-        Monomial(x, t)
-        for t in compositions(n, ring.p)
-        for x in exponents_below(bound, ring.d)
-    ]
-    out.sort()
-    return out
-
-
-def basis_count(ring: RingDescriptor, n: int, bound: int) -> int:
-    return comb(n + ring.p - 1, ring.p - 1) * comb(bound - 1 + ring.d, ring.d)
-
-
 def _comb(a, k: int):
     """C(a, k) elementwise for an int64 array a >= 0; each partial product of
     k consecutive integers is divisible by the factorial so far, so every
@@ -480,11 +462,6 @@ class MonomialIndex:
             self._xexps = np.array(list(exponents_below(self.bound, self.ring.d)), dtype=np.int64)
             self._xexps = self._xexps.reshape(self.xsize, self.ring.d)
         return self._xexps
-
-    @property
-    def monomials(self):
-        """Every chart monomial, in column order."""
-        return enumerate_basis(self.ring, self.tdeg, self.bound)
 
     def degree_columns(self, c: int):
         """Columns of the monomials of x-degree c (below the bound)."""

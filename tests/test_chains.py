@@ -194,6 +194,13 @@ def test_chain_joins_count_the_reduction_draws(monkeypatch, driver):
     assert all(cert.joins == len(draws) for cert in chain.certificates)
 
 
+
+@pytest.mark.parametrize("driver", [coefficient_chain, graded_chain])
+def test_chain_rejects_a_budget_without_draws(driver):
+    ideal = mk(R21, "x1^2", "x2^2")
+    with pytest.raises(StructuralError):
+        driver(ideal, random.Random(7), budget=0)
+
 def test_graded_chain_of_m_times_free():
     mf = mk(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
     chain = graded_chain(mf, random.Random(11))

@@ -220,3 +220,24 @@ def test_unknown_command_rejected():
 
 def test_missing_file_exits_two():
     assert main(["inspect", "/nonexistent/path.spec"]) == 2
+
+
+def test_chain_command_without_draws_exits_two(quartic):
+    assert main(["coeff-chain", quartic, "--budget", "0"]) == 2
+
+
+def test_window_reaches_the_chain_fits(quartic, monkeypatch):
+    import coeffmod.chains as chains
+
+    windows = set()
+    real = chains.fit
+
+    def recording(table, window=3):
+        windows.add(window)
+        return real(table, window=window)
+
+    monkeypatch.setattr(chains, "fit", recording)
+    report, code = run(["coeff-chain", quartic, "--seed", "7", "--window", "4"])
+    assert code == 0
+    assert windows == {4}
+    assert report["options"]["window"] == 4

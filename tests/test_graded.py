@@ -9,14 +9,13 @@ from coeffmod.graded import (
     ModulePresentation,
     colength_exponent,
     colon_into_frame,
-    length_of_quotient,
     module_contains,
     module_membership,
     module_power,
+    module_span,
     module_sum,
     modules_equal,
     mono_quotient_length,
-    piece,
     quotient_length,
     truncation_margin,
     try_monomialize,
@@ -88,13 +87,12 @@ def test_colength_general_regime_hand_derived():
 
 def test_piece_principal_cube():
     m = module(R11, "x1^2*t1")
-    gp = piece(m, 3, bound=7)
-    assert gp.dim == 1  # only x^6 t^3 below the cutoff
+    assert module_span(module_power(m, 3), 7).dim == 1  # only x^6 t^3 below the cutoff
 
 
 def test_piece_mf_dimension_four():
     mf = module(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
-    assert piece(mf, 1, bound=2).dim == 4
+    assert module_span(mf, 2).dim == 4
 
 
 def test_piece_contains_cross_monomial_in_square():
@@ -104,36 +102,37 @@ def test_piece_contains_cross_monomial_in_square():
 
 
 def test_piece_monomial_and_span_paths_agree():
-    from coeffmod.graded import module_span
+    # the truncated span of a power misses exactly the staircase monomials,
+    # all of which lie below the bound
     from coeffmod.poly import MonomialIndex
 
     m = module(R21, "x1^2*t1", "x2^2*t1")
     for n, bound in ((1, 4), (2, 6), (3, 8)):
-        gp = piece(m, n, bound=bound)
         power = module_power(m, n)
         index = MonomialIndex(R21, power.tdeg, bound)
-        assert gp.dim == module_span(power, bound, index).dim
+        outside = quotient_length(ModulePresentation.free(R21, n), power)
+        assert module_span(power, bound, index).dim == index.dim - outside
 
 
 def test_length_free_over_mf_closed_form():
     mf = module(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
     free = ModulePresentation.free(R22, 1)
     for n in (1, 2, 3, 4):
-        assert length_of_quotient(free, mf, n) == n * (n + 1) ** 2 // 2
-    assert length_of_quotient(free, mf, 2) == 9
+        assert quotient_length(module_power(free, n), module_power(mf, n)) == n * (n + 1) ** 2 // 2
+    assert quotient_length(module_power(free, 2), module_power(mf, 2)) == 9
 
 
 def test_length_equal_modules_is_zero():
     m = module(R21, "x1^2*t1", "x2^2*t1")
-    assert length_of_quotient(m, m, 3) == 0
+    assert quotient_length(module_power(m, 3), module_power(m, 3)) == 0
 
 
 def test_length_square_of_max_ideal_over_pure_squares():
     big = module(R21, "x1^2*t1", "x1*x2*t1", "x2^2*t1")
     small = module(R21, "x1^2*t1", "x2^2*t1")
-    assert length_of_quotient(big, small, 3) == 3
+    assert quotient_length(module_power(big, 3), module_power(small, 3)) == 3
     for n in (1, 2, 3, 4, 5):
-        assert length_of_quotient(big, small, n) == n
+        assert quotient_length(module_power(big, n), module_power(small, n)) == n
 
 
 def test_length_rejects_non_nested_pair():
@@ -163,10 +162,10 @@ def test_general_and_monomial_lengths_agree():
 def test_truncation_probe_stability():
     mf = module(R22, "x1*t1", "x2*t1", "x1*t2", "x2*t2")
     free = ModulePresentation.free(R22, 1)
-    base = length_of_quotient(free, mf, 3)
+    base = quotient_length(module_power(free, 3), module_power(mf, 3))
     for extra in (1, 2):
         with truncation_margin(extra):
-            assert length_of_quotient(free, mf, 3) == base
+            assert quotient_length(module_power(free, 3), module_power(mf, 3)) == base
 
 
 PENCIL = ("x1^2 + 3*x2^2", "x1*x2")
@@ -200,7 +199,6 @@ def test_truncation_probe_stability_general_regime():
 
 
 def test_span_memo_is_never_returned_for_another_bound():
-    from coeffmod.graded import module_span
     from coeffmod.poly import MonomialIndex
 
     ring = RingDescriptor(F, 2, 1)

@@ -50,7 +50,7 @@ def test_rref_rank_one():
     red, piv = rref(m)
     assert piv == [0]
     assert red.nrows == 1
-    assert red.get(0, 0) == 1 and red.get(0, 1) == 2
+    assert list(red.row(0)) == [1, 2]
 
 
 def test_rref_f101_hand_elimination():
@@ -83,26 +83,11 @@ def test_kernel_single_row_modular():
         assert (int(v[0]) + 2 * int(v[1]) + 3 * int(v[2])) % 10007 == 0
 
 
-def test_subspace_sum_and_intersection_axes():
-    a = Subspace.from_rows(QQ, 2, [[1, 0]])
-    b = Subspace.from_rows(QQ, 2, [[0, 1]])
-    assert a.sum(b).dim == 2
-    assert a.intersect(b).dim == 0
-
-
 def test_subspace_idempotence():
-    a = Subspace.from_rows(QQ, 3, [[1, 2, 0], [0, 0, 1]])
-    assert a.sum(a) == a
-    assert a.intersect(a) == a
-
-
-def test_subspace_intersection_contains_expected_vector():
-    # (1,2) = 2*(1,1) - (1,0)
-    a = Subspace.from_rows(QQ, 2, [[1, 1], [1, 0]])
-    b = Subspace.from_rows(QQ, 2, [[1, 2]])
-    meet = a.intersect(b)
-    assert meet.dim == 1
-    assert meet.contains_vector([1, 2])
+    rows = [[1, 2, 0], [0, 0, 1]]
+    a = Subspace.from_rows(QQ, 3, rows)
+    assert Subspace.from_rows(QQ, 3, rows + rows) == a
+    assert a.contains(a)
 
 
 def test_membership_via_rank():
@@ -115,14 +100,14 @@ def test_field_mismatch_raises():
     a = Subspace.from_rows(QQ, 2, [[1, 0]])
     b = Subspace.from_rows(F101, 2, [[1, 0]])
     with pytest.raises(FieldMismatchError):
-        a.sum(b)
+        a.contains(b)
 
 
 def test_ambient_mismatch_raises():
     a = Subspace.from_rows(QQ, 2, [[1, 0]])
     b = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
     with pytest.raises(DimensionMismatchError):
-        a.intersect(b)
+        a.contains(b)
 
 
 def _random_matrix(rng, field, rows, cols):
@@ -142,16 +127,6 @@ def test_rref_idempotent_and_rank_stable(field):
         assert piv2 == piv
 
 
-@pytest.mark.parametrize("field", [QQ, F10007])
-def test_modular_law_for_dimensions(field):
-    rng = random.Random(11)
-    for _ in range(12):
-        n = rng.randint(2, 5)
-        a = Subspace.from_rows(field, n, [_random_matrix(rng, field, 1, n).row(0) for _ in range(rng.randint(1, 3))])
-        b = Subspace.from_rows(field, n, [_random_matrix(rng, field, 1, n).row(0) for _ in range(rng.randint(1, 3))])
-        assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
-
-
 def test_kernel_vectors_annihilated():
     rng = random.Random(3)
     for _ in range(8):
@@ -159,4 +134,4 @@ def test_kernel_vectors_annihilated():
         m = _random_matrix(rng, QQ, rows, cols)
         for v in kernel_basis(m):
             for i in range(rows):
-                assert sum(m.get(i, j) * v[j] for j in range(cols)) == 0
+                assert sum(m.row(i)[j] * v[j] for j in range(cols)) == 0

@@ -1,4 +1,4 @@
-"""Monomials, polynomial arithmetic, the text grammar, basis enumeration."""
+"""Monomials, polynomial arithmetic, the text grammar, the truncated chart."""
 
 import random
 from math import comb
@@ -9,10 +9,9 @@ from coeffmod.errors import ParseError, RingMismatchError
 from coeffmod.linalg import QQ, PrimeField
 from coeffmod.poly import (
     Monomial,
+    MonomialIndex,
     PolyElement,
     RingDescriptor,
-    basis_count,
-    enumerate_basis,
     parse_poly,
     t_basis,
 )
@@ -139,17 +138,14 @@ def test_t_degree_adds_for_homogeneous_elements():
 
 
 def test_enumerate_basis_examples():
-    ring = R11
-    names = [m.text() for m in enumerate_basis(ring, 1, 2)]
-    assert names == ["t1", "x1*t1"]
+    def columns(ring, n, bound, texts):
+        index = MonomialIndex(ring, n, bound)
+        assert index.dim == len(texts)
+        return [index.vector(P(t, ring)).index(1) for t in texts]
 
-    ring = R22
-    names = [m.text() for m in enumerate_basis(ring, 1, 1)]
-    assert names == ["t1", "t2"]
-
-    ring = R21
-    basis = enumerate_basis(ring, 2, 2)
-    assert [m.text() for m in basis] == ["t1^2", "x1*t1^2", "x2*t1^2"]
+    assert columns(R11, 1, 2, ["t1", "x1*t1"]) == [0, 1]
+    assert columns(R22, 1, 1, ["t1", "t2"]) == [0, 1]
+    assert columns(R21, 2, 2, ["t1^2", "x1*t1^2", "x2*t1^2"]) == [0, 1, 2]
 
 
 def test_enumerate_basis_count_formula():
@@ -157,11 +153,12 @@ def test_enumerate_basis_count_formula():
     for _ in range(10):
         d, p = rng.randint(1, 3), rng.randint(1, 3)
         n, bound = rng.randint(0, 4), rng.randint(1, 4)
-        ring = RingDescriptor(QQ, d, p)
-        basis = enumerate_basis(ring, n, bound)
-        assert len(basis) == comb(n + p - 1, p - 1) * comb(bound - 1 + d, d)
-        assert len(basis) == basis_count(ring, n, bound)
-        assert basis == sorted(basis)
+        index = MonomialIndex(RingDescriptor(QQ, d, p), n, bound)
+        assert index.dim == comb(n + p - 1, p - 1) * comb(bound - 1 + d, d)
+        # column order is the global monomial order
+        chart = [Monomial(tuple(int(e) for e in x), t) for t in index.texps for x in index.xexps]
+        assert len(chart) == index.dim
+        assert chart == sorted(chart)
 
 
 def test_t_basis_is_free_module_basis():

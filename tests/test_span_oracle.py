@@ -2,7 +2,8 @@
 
 The oracle builds the truncated Macaulay matrix of a module from raw
 exponent dicts, with its own column order, and asks sympy for its rank and
-reduced row-echelon form over Q or GF(q).  It shares no code with
+reduced row-echelon form over Q or GF(q); the same sympy RREF judges
+`rref` and `kernel_basis` on dense matrices.  It shares no code with
 coeffmod.poly or coeffmod.graded; sympy is a test-only dependency.  The
 fields include the largest prime the int64 kernels accept, where a single
 product of two residues nearly fills an int64.
@@ -33,17 +34,20 @@ def _sympy_domain(field):
     return SYMPY_QQ if field == QQ else GF(field.q, symmetric=False)
 
 
-def _oracle_rref(field, rows, width):
-    """(rank, pivots, RREF rows as ints or Fractions) of dense integer rows."""
+def _domain_matrix(field, rows, width):
     domain = _sympy_domain(field)
-    if not rows:
-        return 0, [], []
     if field == QQ:
         entries = [[domain(Fraction(x).numerator, Fraction(x).denominator) for x in row] for row in rows]
     else:
         entries = [[domain(int(x)) for x in row] for row in rows]
-    matrix = DomainMatrix(entries, (len(rows), width), domain)
-    reduced, pivots = matrix.rref()
+    return DomainMatrix(entries, (len(rows), width), domain)
+
+
+def _oracle_rref(field, rows, width):
+    """(rank, pivots, RREF rows as ints or Fractions) of dense integer rows."""
+    if not rows:
+        return 0, [], []
+    reduced, pivots = _domain_matrix(field, rows, width).rref()
     out = []
     for row in reduced.to_list()[: len(pivots)]:
         if field == QQ:
@@ -81,8 +85,8 @@ def _oracle_macaulay(gens, d, p, bound):
     return rows, len(columns)
 
 
-def _matrix_rows(span, field):
-    data = span.matrix.data
+def _matrix_rows(matrix, field):
+    data = matrix.data
     if field == QQ:
         return [list(row) for row in data]
     return [[int(x) for x in row] for row in data]
@@ -119,7 +123,7 @@ def test_module_span_matches_sympy_macaulay_rref(field, raw, bounds):
         assert span.ambient == width
         assert span.dim == rank
         assert span.pivots == pivots
-        assert _matrix_rows(span, field) == reduced
+        assert _matrix_rows(span.matrix, field) == reduced
 
 
 @st.composite
@@ -175,7 +179,7 @@ def test_span_builder_accepts_the_greedy_rows(field, case):
             runs.append((accepted, builder.subspace()))
         finally:
             linalg.PRODUCT_CHUNK = saved
-    basis = _matrix_rows(seed, field)
+    basis = _matrix_rows(seed.matrix, field)
     reference = [[int(x) for x in row] if field != QQ else row for row in basis]
     expected, rank = [], _oracle_rref(field, reference, width)[0]
     for i, row in enumerate(dense):
@@ -189,4 +193,38 @@ def test_span_builder_accepts_the_greedy_rows(field, case):
         assert accepted == expected
         assert span.dim == total
         assert span.pivots == pivots
-        assert _matrix_rows(span, field) == reduced
+        assert _matrix_rows(span.matrix, field) == reduced
+
+
+@st.composite
+def dense_matrices(draw):
+    """Integer rows, some of them combinations of the others."""
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**10), 10**10))
+    basis = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    weights = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    combos = [
+        [sum(w * row[j] for w, row in zip(ws, basis)) for j in range(cols)]
+        for ws in draw(st.lists(weights, max_size=3))
+    ]
+    rows = basis + combos
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))], cols
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@SETTINGS
+@given(case=dense_matrices())
+def test_rref_and_kernel_basis_match_sympy(field, case):
+    rows, cols = case
+    m = linalg.ExactMatrix(field, rows)
+    rank, pivots, reduced = _oracle_rref(field, rows, cols)
+    red, piv = linalg.rref(m)
+    assert piv == pivots
+    assert _matrix_rows(red, field) == reduced
+    kernel = linalg.kernel_basis(m)
+    assert len(kernel) == cols - rank
+    if kernel:
+        vectors = _matrix_rows(linalg.ExactMatrix(field, kernel), field)
+        assert _oracle_rref(field, vectors, cols)[0] == len(kernel)  # independent
+        product = _domain_matrix(field, rows, cols).matmul(_domain_matrix(field, vectors, cols).transpose())
+        assert product.is_zero_matrix
