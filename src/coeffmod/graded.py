@@ -140,7 +140,7 @@ class ModulePresentation:
         self._powers = {1: self}
         self._span = None  # (absolute bound, Subspace): the last truncated span built
         self._buckets = None
-        self._memo = {}  # base-side results of chains, fits and closures; see memo()
+        self._memo = {}  # colength, and base-side results of chains, fits and closures; see memo()
         self._monomial_set = (
             tuple(g.leading_monomial() for g in self.gens) if self.monomial else None
         )
