@@ -39,7 +39,6 @@ from .graded import (
     module_sum,
     modules_equal,
     mono_intersect,
-    mono_quotient_monomials,
     quotient_lifts,
     relative_quotient_dim,
     try_monomialize,
@@ -61,7 +60,6 @@ from .modops import (
     relative_closure,
     saturate,
 )
-from .poly import PolyElement
 
 
 @dataclass
@@ -383,7 +381,7 @@ def _absorb_complement(kind: ChainKind, k: int, best):
     changed = True
     while changed:
         changed = False
-        for y in _complement_elements(kind.top, absorbed):
+        for y in quotient_lifts(kind.top, absorbed):
             trial = _join(absorbed, ModulePresentation(mod.ring, [y], tdeg=mod.tdeg), kind.hint)
             trial_fit = kind.degree_fit(trial)
             if kind.passes(trial_fit, k):
@@ -529,16 +527,6 @@ def graded_chain(
 # ---------------------------------------------------------------------------
 
 
-def _complement_elements(top: ModulePresentation, result: ModulePresentation):
-    """Representatives of nonzero cosets of top/result to probe with."""
-    if top.monomial and result.monomial:
-        return [
-            PolyElement.from_monomial(top.ring, m)
-            for m in mono_quotient_monomials(top, result)
-        ]
-    return quotient_lifts(top, result)
-
-
 def maximality_probe(
     mod: ModulePresentation,
     cert: CoefficientCertificate,
@@ -560,7 +548,7 @@ def maximality_probe(
     if cert.inclusive:
         raise StructuralError("maximality_probe takes relative-chain certificates, not graded ones")
     kind = _relative_kind(mod, nmax, window, spread=cert.threshold + cert.k)
-    complement = _complement_elements(kind.top, cert.result)
+    complement = quotient_lifts(kind.top, cert.result)
     if not complement:
         return ProbeReport(cert.k, 0, 0, [], vacuous=True)
     picks = [complement[rng.randrange(len(complement))] for _ in range(sample_budget)]

@@ -212,14 +212,9 @@ def _compress_generators(ring, gens):
     field = ring.field
     rows = []
     for g in gens:
-        if isinstance(field, PrimeField):
-            v = np.zeros(len(support), dtype=np.int64)
-            for m, c in g.coeffs.items():
-                v[pos[m]] = c
-        else:
-            v = [Fraction(0)] * len(support)
-            for m, c in g.coeffs.items():
-                v[pos[m]] = Fraction(c)
+        v = np.zeros(len(support), dtype=field.dtype)
+        for m, c in g.coeffs.items():
+            v[pos[m]] = c
         rows.append(v)
     sub = Subspace.from_rows(field, len(support), rows)
     out = []
@@ -227,7 +222,7 @@ def _compress_generators(ring, gens):
         row = sub.matrix.row(i)
         coeffs = {}
         for j, m in enumerate(support):
-            c = int(row[j]) if isinstance(field, PrimeField) else row[j]
+            c = field.of(row[j])
             if not field.is_zero(c):
                 coeffs[m] = c
         out.append(_canonical_scale(PolyElement(ring, coeffs)))
@@ -461,6 +456,14 @@ def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialInd
     return span
 
 
+def _chart(mod: ModulePresentation, c: int):
+    """(chart, span of `mod`) at the bound that decides questions modulo a
+    module containing m^c F^g: c + 1 by Nakayama over the local ring, plus
+    TRUNC_MARGIN."""
+    index = MonomialIndex(mod.ring, mod.tdeg, c + 1 + TRUNC_MARGIN)
+    return index, module_span(mod, index.bound, index)
+
+
 def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> ColengthWitness:
     """Least c >= 0 with m^c F^g inside the module, memoised on it.
 
@@ -489,11 +492,9 @@ def _colength_search(mod: ModulePresentation, ceiling: int) -> ColengthWitness:
                 return ColengthWitness(c, "monomial divisibility sweep")
         raise UndecidedColengthError(f"monomial colength exceeds ceiling {ceiling}")
     for c in range(ceiling + 1):
-        bound = c + 1 + TRUNC_MARGIN
-        index = MonomialIndex(ring, mod.tdeg, bound)
-        span = module_span(mod, bound, index)
+        index, span = _chart(mod, c)
         if span.contains_unit_vectors(index.degree_columns(c)):
-            return ColengthWitness(c, f"truncated sweep at bound {bound}")
+            return ColengthWitness(c, f"truncated sweep at bound {index.bound}")
     raise UndecidedColengthError(
         f"colength undecided up to ceiling {ceiling}; enlarge it or use a monomial presentation"
     )
@@ -516,9 +517,7 @@ def module_membership(elem: PolyElement, mod: ModulePresentation, witness: Optio
         witness = colength_exponent(mod)
     if not witness.finite:
         raise RegimeError("general-regime membership needs finite colength")
-    bound = witness.exponent + 1 + TRUNC_MARGIN
-    index = MonomialIndex(mod.ring, mod.tdeg, bound)
-    span = module_span(mod, bound, index)
+    index, span = _chart(mod, witness.exponent)
     return span.contains_vector(index.vector(elem))
 
 
@@ -530,9 +529,7 @@ def module_contains(big: ModulePresentation, small: ModulePresentation) -> bool:
     witness = colength_exponent(big)
     if not witness.finite:
         raise RegimeError("containment in a general module needs finite colength")
-    bound = witness.exponent + 1 + TRUNC_MARGIN
-    index = MonomialIndex(big.ring, big.tdeg, bound)
-    span = module_span(big, bound, index)
+    index, span = _chart(big, witness.exponent)
     return all(span.contains_vector(index.vector(g)) for g in small.gens)
 
 
@@ -550,9 +547,7 @@ def _general_pair_length(big: ModulePresentation, small: ModulePresentation) -> 
     witness = colength_exponent(small)
     if not witness.finite:
         raise InfiniteLengthError("smaller module has infinite colength")
-    bound = witness.exponent + 1 + TRUNC_MARGIN
-    index = MonomialIndex(big.ring, big.tdeg, bound)
-    span_small = module_span(small, bound, index)
+    index, span_small = _chart(small, witness.exponent)
     builder = SpanBuilder(big.ring.field, index.dim, seed=span_small)
     builder.add_rows(*index.shifted_rows(big.gens))
     return builder.dim - span_small.dim
@@ -691,9 +686,8 @@ def quotient_lifts(frame: ModulePresentation, floor: ModulePresentation):
     witness = colength_exponent(floor)
     if not witness.finite:
         raise RegimeError("frame/floor lift needs floor of finite colength")
-    bound = witness.exponent + 1 + TRUNC_MARGIN
-    index = MonomialIndex(ring, frame.tdeg, bound)
-    builder = SpanBuilder(ring.field, index.dim, seed=module_span(floor, bound, index))
+    index, span = _chart(floor, witness.exponent)
+    builder = SpanBuilder(ring.field, index.dim, seed=span)
     nrows, rows, cols, vals = index.shifted_rows(frame.gens)
     accepted = builder.add_rows(nrows, rows, cols, vals)
     starts = np.searchsorted(rows, accepted)
@@ -719,24 +713,16 @@ def _residual_coordinates(products, target: ModulePresentation):
         width = len(residual_monos)
         rows = []
         for poly in products:
-            if isinstance(field, PrimeField):
-                v = np.zeros(width, dtype=np.int64)
-                for m, c in poly.coeffs.items():
-                    if m in pos:
-                        v[pos[m]] = c
-            else:
-                v = [Fraction(0)] * width
-                for m, c in poly.coeffs.items():
-                    if m in pos:
-                        v[pos[m]] = Fraction(c)
+            v = np.zeros(width, dtype=field.dtype)
+            for m, c in poly.coeffs.items():
+                if m in pos:
+                    v[pos[m]] = c
             rows.append(v)
         return rows, width
     witness = colength_exponent(target)
     if not witness.finite:
         raise RegimeError("colon target needs finite colength in the general regime")
-    bound = witness.exponent + 1 + TRUNC_MARGIN
-    index = MonomialIndex(ring, target.tdeg, bound)
-    span = module_span(target, bound, index)
+    index, span = _chart(target, witness.exponent)
     rows = [span.reduce_vector(index.vector(p)) for p in products]
     return rows, index.dim
 
@@ -779,28 +765,18 @@ def colon_into_frame(
     # solve for coefficient vectors over the lifts: one matrix row per
     # residual coordinate, one column per lift, right kernel = the colon
     field = ring.field
-    if isinstance(field, PrimeField):
-        mat = np.zeros((width_total, len(lifts)), dtype=np.int64)
-        off = 0
-        for block, width in blocks:
-            for j, row in enumerate(block):
-                mat[off : off + width, j] = row
-            off += width
-        kernel = kernel_basis(ExactMatrix(field, mat, copy=False))
-    else:
-        mat = [[Fraction(0)] * len(lifts) for _ in range(width_total)]
-        off = 0
-        for block, width in blocks:
-            for j, row in enumerate(block):
-                for i in range(width):
-                    mat[off + i][j] = row[i]
-            off += width
-        kernel = kernel_basis(ExactMatrix(field, mat))
+    mat = np.zeros((width_total, len(lifts)), dtype=field.dtype)
+    off = 0
+    for block, width in blocks:
+        for j, row in enumerate(block):
+            mat[off : off + width, j] = row
+        off += width
+    kernel = kernel_basis(ExactMatrix(field, mat, copy=False))
     extra = []
     for lam in kernel:
         poly = PolyElement.zero(ring)
         for j, w in enumerate(lifts):
-            c = int(lam[j]) if isinstance(field, PrimeField) else lam[j]
+            c = field.of(lam[j])
             if not field.is_zero(c):
                 poly = poly.add(w.scale(c))
         if not poly.is_zero():

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParseError, RingMismatchError
-from .linalg import Field, PrimeField, coefficient_array
+from .linalg import Field, coefficient_array
 
 # exponents are machine-word integers; anything past this is a bug, not data
 EXPONENT_LIMIT = 10**6
@@ -216,9 +216,6 @@ class PolyElement:
 
     def is_t_homogeneous(self) -> bool:
         return len({m.tdeg for m in self.coeffs}) <= 1
-
-    def max_xdeg(self) -> int:
-        return max((m.xdeg for m in self.coeffs), default=0)
 
     def monomials(self):
         """Support in ascending key order (degree first, x1 before x2)."""
@@ -491,15 +488,8 @@ class MonomialIndex:
         field = self.ring.field
         blocks, xexps, coeffs = self._terms(poly)
         keep = np.nonzero(xexps.sum(axis=1) < self.bound)[0]
-        cols = (blocks[keep] * self.xsize + x_ranks(xexps[keep])).tolist()
-        if isinstance(field, PrimeField):
-            v = np.zeros(self.dim, dtype=np.int64)
-            for col, i in zip(cols, keep.tolist()):
-                v[col] = coeffs[i] % field.q
-            return v
-        v = [Fraction(0)] * self.dim
-        for col, i in zip(cols, keep.tolist()):
-            v[col] = Fraction(coeffs[i])
+        v = np.zeros(self.dim, dtype=field.dtype)
+        v[blocks[keep] * self.xsize + x_ranks(xexps[keep])] = coefficient_array(field, coeffs)[keep]
         return v
 
     def shifted_rows(self, gens):
@@ -538,7 +528,7 @@ class MonomialIndex:
         xexps = self.xexps
         coeffs = {}
         for col, c in sorted(zip(np.asarray(cols).tolist(), list(vals))):
-            c = int(c) if isinstance(field, PrimeField) else Fraction(c)
+            c = field.of(c)
             if not field.is_zero(c):
                 block, rank = divmod(col, self.xsize)
                 coeffs[Monomial(tuple(xexps[rank].tolist()), self.texps[block])] = c

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from coeffmod.errors import NotASubpairError, StructuralError
+from coeffmod.errors import NotASubpairError, StructuralError, UndecidedColengthError
 from coeffmod.graded import (
     ModulePresentation,
     colength_exponent,
@@ -21,7 +23,7 @@ from coeffmod.graded import (
     try_monomialize,
 )
 from coeffmod.linalg import QQ, PrimeField
-from coeffmod.poly import RingDescriptor, parse_poly
+from coeffmod.poly import Monomial, PolyElement, RingDescriptor, parse_poly
 
 F = PrimeField(10007)
 R21 = RingDescriptor(QQ, 2, 1)
@@ -288,6 +290,42 @@ def test_colon_quartic_ideal_recovers_center_monomial():
         for e in elems:
             assert module_membership(g.mul(e), target)
     assert module_contains(out, ideal)
+
+
+@st.composite
+def integer_generators(draw):
+    """Two or three rank-1, d = 2 generators with integer coefficients in [-3, 3]."""
+    xexp = st.sampled_from([(a, b) for a in range(4) for b in range(4) if 1 <= a + b <= 3])
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    return draw(st.lists(st.dictionaries(xexp, coeff, min_size=1, max_size=3), min_size=2, max_size=3))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(gens=integer_generators())
+def test_rationals_and_a_large_prime_field_agree(gens):
+    """General-regime modules with small integer coefficients have the same
+    colength, lengths F^n/M^n and colon length over Q and over F_p with p
+    far above every minor of their Macaulay matrices."""
+    answers = []
+    for field in (QQ, PrimeField(3037000493)):
+        ring = RingDescriptor(field, 2, 1)
+        polys = [PolyElement(ring, {Monomial(x, (1,)): field.of(c) for x, c in g.items()}) for g in gens]
+        mod = ModulePresentation(ring, polys)
+        assume(not mod.monomial)
+        try:
+            colength = colength_exponent(mod, ceiling=6).exponent
+        except UndecidedColengthError:
+            assume(False)
+        free = ModulePresentation.free(ring, 1)
+        lengths = [quotient_length(module_power(free, n), module_power(mod, n)) for n in (1, 2)]
+        colon = colon_into_frame(module_power(mod, 2), [polys[0]], free, mod)
+        answers.append((colength, lengths, quotient_length(colon, mod)))
+    assert answers[0] == answers[1]
 
 
 def test_try_monomialize_promotes_unit_shifted_principal():
