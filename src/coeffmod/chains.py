@@ -38,7 +38,6 @@ from .graded import (
     module_power,
     module_sum,
     modules_equal,
-    mono_intersect,
     quotient_lifts,
     relative_quotient_dim,
     try_monomialize,
@@ -593,7 +592,7 @@ def check_top_link_meets_ratliff_rush(
     if mod.monomial:
         # the colon chain of a monomial module is monomial, so the meet is
         # plain lattice combinatorics
-        meet = mono_intersect(rr, sat_res)
+        meet = rr.mono.intersect(sat_res.mono).presentation()
     else:
         meet = rr  # finite colength: the saturation is everything
     equal = _equal_over(mod, cert.result, meet)

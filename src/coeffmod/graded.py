@@ -14,12 +14,15 @@ Two regimes coexist:
   A membership or equality test against a module B is exact as soon as
   m^(D-1) F^g lies inside B: the test decides equality with B + m^D F^g and
   Nakayama (over the local ring) upgrades that to equality with B.  Every
-  such D is taken from a ColengthWitness and recorded, and TRUNC_MARGIN lets
-  a verification run re-ask every question with an enlarged bound.
+  such D is taken from a ColengthWitness and recorded, and
+  `truncation_margin` lets a verification run re-ask every question with an
+  enlarged bound.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,29 +50,22 @@ from .poly import (
 )
 
 # additional slack added to every truncation bound; raised temporarily by
-# the --trunc-probe soundness re-run
-TRUNC_MARGIN = 0
+# the --trunc-probe soundness re-run.  Held per context, so a margin entered
+# in one thread is invisible to every other thread.
+_MARGIN = ContextVar("truncation_margin", default=0)
 
 # default ceiling for colength searches
 COLENGTH_CEILING = 64
 
 
-class truncation_margin:
+@contextmanager
+def truncation_margin(extra: int):
     """Context manager bumping every truncation bound by `extra`."""
-
-    def __init__(self, extra: int):
-        self.extra = extra
-
-    def __enter__(self):
-        global TRUNC_MARGIN
-        self._saved = TRUNC_MARGIN
-        TRUNC_MARGIN = self._saved + self.extra
-        return self
-
-    def __exit__(self, *exc):
-        global TRUNC_MARGIN
-        TRUNC_MARGIN = self._saved
-        return False
+    token = _MARGIN.set(_MARGIN.get() + extra)
+    try:
+        yield
+    finally:
+        _MARGIN.reset(token)
 
 
 @dataclass
@@ -133,17 +129,14 @@ class ModulePresentation:
             # k-linear compression can reveal a hidden monomial generating set
             cleaned = _compress_generators(ring, cleaned)
         self.monomial = all(g.is_monomial() for g in cleaned)
+        self._mono = None
         if self.monomial:
-            monos = _minimalize([g.leading_monomial() for g in cleaned])
-            cleaned = [PolyElement.from_monomial(ring, m) for m in monos]
+            self._mono = MonomialModule(ring, self.tdeg, ((m.texp, m.xexp) for g in cleaned for m in g.coeffs))
+            cleaned = [PolyElement.from_monomial(ring, m) for m in self._mono.monomials()]
         self.gens = sorted(cleaned, key=lambda g: g.leading_monomial().key, reverse=True)
         self._powers = {1: self}
         self._span = None  # (absolute bound, Subspace): the last truncated span built
-        self._buckets = None
         self._memo = {}  # colength, and base-side results of chains, fits and closures; see memo()
-        self._monomial_set = (
-            tuple(g.leading_monomial() for g in self.gens) if self.monomial else None
-        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -170,16 +163,17 @@ class ModulePresentation:
         return cls.from_monomials(ring, gens)
 
     @property
-    def mono_gens(self):
+    def mono(self) -> "MonomialModule":
         if not self.monomial:
-            raise RegimeError("monomial generators requested for a general module")
-        return self._monomial_set
+            raise RegimeError("monomial form requested for a general module")
+        return self._mono
 
     @property
-    def buckets(self) -> "MonomialBuckets":
-        if self._buckets is None:
-            self._buckets = MonomialBuckets(self.mono_gens)
-        return self._buckets
+    def mono_gens(self):
+        """The generators as monomials, in the order of `gens`."""
+        if not self.monomial:
+            raise RegimeError("monomial generators requested for a general module")
+        return tuple(g.leading_monomial() for g in self.gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -190,15 +184,6 @@ class ModulePresentation:
 
     def text(self) -> str:
         return "[" + "; ".join(g.text() for g in self.gens) + "]"
-
-
-def _minimalize(monomials):
-    """Drop monomials divisible by another one; sorted, deduplicated."""
-    out = []
-    for m in sorted(set(monomials)):
-        if not any(g.divides(m) for g in out):
-            out = [g for g in out if not m.divides(g)] + [m]
-    return sorted(out)
 
 
 def _compress_generators(ring, gens):
@@ -234,114 +219,126 @@ def _compress_generators(ring, gens):
 # ---------------------------------------------------------------------------
 
 
-class MonomialBuckets:
-    """Divisibility tests for same-degree monomial generators, bucketed by
-    t-part: a generator of equal t-degree divides a monomial only when the
-    t-exponents coincide, so each test touches one bucket."""
+def _divided(bucket, x) -> bool:
+    """Some exponent tuple of the bucket divides x."""
+    return any(all(a <= b for a, b in zip(g, x)) for g in bucket)
 
-    def __init__(self, gens):
+
+class MonomialModule:
+    """A monomial module of one t-degree: the minimal x-exponent tuples of
+    each t-bucket.
+
+    Two monomials of equal t-degree divide one another only when their
+    t-parts coincide, so every divisibility test reads one bucket.  Minimal
+    monomial generators are unique, so equal modules hold equal buckets.
+    """
+
+    def __init__(self, ring: RingDescriptor, tdeg: int, pairs):
+        """The module generated by the (texp, xexp) pairs, minimalised."""
+        self.ring = ring
+        self.tdeg = tdeg
+        grouped = {}
+        for t, x in pairs:
+            grouped.setdefault(t, set()).add(x)
         self.buckets = {}
-        for g in gens:
-            self.buckets.setdefault(g.texp, []).append(g.xexp)
+        for t, xs in grouped.items():
+            kept = []
+            # a proper divisor has smaller total degree, so it comes first
+            for x in sorted(xs, key=lambda x: (sum(x), x)):
+                if not _divided(kept, x):
+                    kept.append(x)
+            self.buckets[t] = tuple(kept)
+
+    def __eq__(self, other):
+        return self.tdeg == other.tdeg and self.buckets == other.buckets
+
+    def monomials(self):
+        return [Monomial(x, t) for t, xs in self.buckets.items() for x in xs]
+
+    def presentation(self) -> "ModulePresentation":
+        gens = [PolyElement.from_monomial(self.ring, m) for m in self.monomials()]
+        return ModulePresentation(self.ring, gens, tdeg=self.tdeg)
 
     def contains(self, m: Monomial) -> bool:
-        bucket = self.buckets.get(m.texp)
-        if not bucket:
-            return False
-        mx = m.xexp
-        return any(all(a <= b for a, b in zip(x, mx)) for x in bucket)
+        return _divided(self.buckets.get(m.texp, ()), m.xexp)
 
+    def reduce(self, poly: PolyElement) -> PolyElement:
+        """Canonical reduction modulo the module: drop the member terms."""
+        return PolyElement(poly.ring, {m: c for m, c in poly.coeffs.items() if not self.contains(m)})
 
-def mono_intersect(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
-    """Pairwise lcm over generators with matching t-part.  Two monomials of
-    the same t-degree admit a common multiple in that degree only when their
-    t-parts coincide."""
-    assert a.tdeg == b.tdeg
-    out = []
-    for ga in a.mono_gens:
-        for gb in b.mono_gens:
-            if ga.texp != gb.texp:
-                continue
-            out.append(
-                Monomial(tuple(max(u, v) for u, v in zip(ga.xexp, gb.xexp)), ga.texp)
-            )
-    return ModulePresentation.from_monomials(a.ring, _minimalize(out)) if out else ModulePresentation.zero(a.ring, a.tdeg)
+    def escapes(self, m: Monomial) -> bool:
+        """True when the powers of some variable never push m into the module.
 
+        x_i^k * m enters the module for large k iff some generator divides m
+        away from the i-th exponent, so the answer needs no search.  The
+        module has finite colength iff no unit monomial t^beta escapes.
+        """
+        bucket = self.buckets.get(m.texp, ())
+        return any(
+            not any(all(a <= b for j, (a, b) in enumerate(zip(g, m.xexp)) if j != i) for g in bucket)
+            for i in range(self.ring.d)
+        )
 
-def mono_colon_monomial(target: ModulePresentation, w: Monomial, result_tdeg: int) -> ModulePresentation:
-    """All u of t-degree result_tdeg with u*w inside the monomial target."""
-    ring = target.ring
-    if target.tdeg != result_tdeg + w.tdeg:
-        raise RingMismatchError("degree mismatch in colon")
-    gens = []
-    for g in target.mono_gens:
-        vx = tuple(max(a - b, 0) for a, b in zip(g.xexp, w.xexp))
-        vt = tuple(max(a - b, 0) for a, b in zip(g.texp, w.texp))
-        slack = result_tdeg - sum(vt)
-        if slack < 0:
-            continue
-        for extra in compositions(slack, ring.p):
-            gens.append(Monomial(vx, tuple(a + b for a, b in zip(vt, extra))))
-    if not gens:
-        return ModulePresentation.zero(ring, result_tdeg)
-    return ModulePresentation.from_monomials(ring, _minimalize(gens))
+    def sweep(self, frame, ceiling: int = COLENGTH_CEILING) -> int:
+        """Least K with m^K * frame inside the module, for a list of frame
+        monomials.  Finiteness is decided exactly first, by `escapes`."""
+        for f in frame:
+            if self.escapes(f):
+                raise InfiniteLengthError(f"monomial quotient is infinite: {f.text()} escapes the floor")
+        for K in range(ceiling + 1):
+            shifts = list(compositions(K, self.ring.d))
+            if all(
+                _divided(self.buckets[f.texp], tuple(a + b for a, b in zip(alpha, f.xexp)))
+                for f in frame
+                for alpha in shifts
+            ):
+                return K
+        raise UndecidedColengthError(f"no K <= {ceiling} with m^K * frame inside floor despite finite length")
 
+    def intersect(self, other: "MonomialModule") -> "MonomialModule":
+        """Pairwise lcm of the generators in each common t-bucket."""
+        if self.ring != other.ring or self.tdeg != other.tdeg:
+            raise RingMismatchError("intersection of modules in different degrees")
+        return MonomialModule(
+            self.ring,
+            self.tdeg,
+            (
+                (t, tuple(map(max, x, y)))
+                for t, xs in self.buckets.items()
+                for x in xs
+                for y in other.buckets.get(t, ())
+            ),
+        )
 
-def mono_colon_module(target: ModulePresentation, elems: ModulePresentation, result_tdeg: int) -> ModulePresentation:
-    """(target : elems) at the stated degree, both modules monomial."""
-    out = None
-    for w in elems.mono_gens:
-        piece = mono_colon_monomial(target, w, result_tdeg)
-        out = piece if out is None else mono_intersect(out, piece)
-        if out.is_zero():
-            return out
-    if out is None:
-        raise RegimeError("colon by the zero module")
-    return out
+    def colon(self, elems: "MonomialModule") -> "MonomialModule":
+        """(self : elems), in t-degree self.tdeg - elems.tdeg.
 
-
-def _mono_escapes_all_powers(mono: Monomial, floor_gens, ring) -> bool:
-    """True when no power of some variable pushes the monomial into floor.
-
-    x_i^k * mono enters a monomial module for large k iff some generator
-    divides it away from the i-th exponent, so the answer needs no search.
-    """
-    for i in range(ring.d):
-        if not any(
-            g.texp == mono.texp
-            and all(e <= m for j, (e, m) in enumerate(zip(g.xexp, mono.xexp)) if j != i)
-            for g in floor_gens
-        ):
-            return True
-    return False
-
-
-def _mono_pair_bound(frame_gens, floor_gens, ring, ceiling: int) -> int:
-    """Least K with m^K * frame inside floor; both monomial.
-
-    Finiteness is decided exactly first: the quotient is infinite iff some
-    frame generator escapes every power of some variable.
-    """
-    for f in frame_gens:
-        if _mono_escapes_all_powers(f, floor_gens, ring):
-            raise InfiniteLengthError(
-                f"monomial quotient is infinite: {f.text()} escapes the floor"
-            )
-    floor_buckets = MonomialBuckets(floor_gens)
-    for K in range(ceiling + 1):
-        ok = True
-        for f in frame_gens:
-            for alpha in compositions(K, ring.d):
-                if not floor_buckets.contains(Monomial(tuple(a + b for a, b in zip(alpha, f.xexp)), f.texp)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return K
-    raise UndecidedColengthError(
-        f"no K <= {ceiling} with m^K * frame inside floor despite finite length"
-    )
+        u * w lies in the module iff a generator g of the bucket of u * w
+        divides it, i.e. u's bucket is g's minus w's and u's x-part is at
+        least (g - w)^+; the colon intersects these over the generators w.
+        """
+        tdeg = self.tdeg - elems.tdeg
+        if self.ring != elems.ring or tdeg < 0:
+            raise RingMismatchError("degree mismatch in colon")
+        out = None
+        for wt, wxs in elems.buckets.items():
+            for wx in wxs:
+                piece = MonomialModule(
+                    self.ring,
+                    tdeg,
+                    (
+                        (tuple(a - b for a, b in zip(t, wt)), tuple(max(a - b, 0) for a, b in zip(x, wx)))
+                        for t, xs in self.buckets.items()
+                        if all(a >= b for a, b in zip(t, wt))
+                        for x in xs
+                    ),
+                )
+                out = piece if out is None else out.intersect(piece)
+                if not out.buckets:
+                    return out
+        if out is None:
+            raise RegimeError("colon by the zero module")
+        return out
 
 
 def mono_quotient_monomials(frame: ModulePresentation, floor: ModulePresentation, ceiling: int = COLENGTH_CEILING):
@@ -350,35 +347,15 @@ def mono_quotient_monomials(frame: ModulePresentation, floor: ModulePresentation
     Every monomial of frame is x^gamma * (a generator), and for |gamma| >= K
     it falls into floor, so the enumeration below is exhaustive.
     """
-    ring = frame.ring
-    K = _mono_pair_bound(frame.mono_gens, floor.mono_gens, ring, ceiling)
-    floor_buckets = floor.buckets
+    gens, inside = frame.mono_gens, floor.mono
+    K = inside.sweep(gens, ceiling)
     seen = set()
-    for f in frame.mono_gens:
-        for gamma in exponents_below(K, ring.d):
+    for f in gens:
+        for gamma in exponents_below(K, frame.ring.d):
             m = Monomial(tuple(a + b for a, b in zip(gamma, f.xexp)), f.texp)
-            if m not in seen and not floor_buckets.contains(m):
+            if m not in seen and not inside.contains(m):
                 seen.add(m)
     return sorted(seen)
-
-
-def mono_quotient_length(frame: ModulePresentation, floor: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> int:
-    return len(mono_quotient_monomials(frame, floor, ceiling))
-
-
-def _mono_finite_colength(mod: ModulePresentation) -> bool:
-    """A monomial module has finite colength in its degree piece iff for
-    every t-basis monomial and every variable it contains a pure power."""
-    ring = mod.ring
-    gens = mod.mono_gens
-    for beta in compositions(mod.tdeg, ring.p):
-        for i in range(ring.d):
-            if not any(
-                g.texp == beta and all(e == 0 for j, e in enumerate(g.xexp) if j != i)
-                for g in gens
-            ):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +396,11 @@ def memo(mod: ModulePresentation, key: tuple, compute):
     """compute(), evaluated once per key and kept on the presentation.
 
     The result lives in `mod._memo` as long as the presentation does.  Every
-    key is extended by the current TRUNC_MARGIN, so a truncation-probe re-run
-    recomputes whatever may reach a truncated span instead of reading a
-    result of the unprobed bounds.  A raised error is not kept.
+    key is extended by the current truncation margin, so a truncation-probe
+    re-run recomputes whatever may reach a truncated span instead of reading
+    a result of the unprobed bounds.  A raised error is not kept.
     """
-    key = key + (TRUNC_MARGIN,)
+    key = key + (_MARGIN.get(),)
     if key not in mod._memo:
         mod._memo[key] = compute()
     return mod._memo[key]
@@ -442,8 +419,8 @@ def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialInd
 
     The result is memoised on the presentation for one bound only, the last
     one asked; a call with another bound rebuilds it and takes the slot.
-    Bounds already include TRUNC_MARGIN, so a truncation-probe re-run never
-    sees a span built for the unprobed bound.
+    Bounds already include the truncation margin, so a truncation-probe
+    re-run never sees a span built for the unprobed bound.
     """
     if mod._span is not None and mod._span[0] == bound:
         return mod._span[1]
@@ -459,8 +436,8 @@ def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialInd
 def _chart(mod: ModulePresentation, c: int):
     """(chart, span of `mod`) at the bound that decides questions modulo a
     module containing m^c F^g: c + 1 by Nakayama over the local ring, plus
-    TRUNC_MARGIN."""
-    index = MonomialIndex(mod.ring, mod.tdeg, c + 1 + TRUNC_MARGIN)
+    the truncation margin."""
+    index = MonomialIndex(mod.ring, mod.tdeg, c + 1 + _MARGIN.get())
     return index, module_span(mod, index.bound, index)
 
 
@@ -480,17 +457,11 @@ def _colength_search(mod: ModulePresentation, ceiling: int) -> ColengthWitness:
     if mod.is_zero():
         return ColengthWitness(None, "zero module")
     if mod.monomial:
-        if not _mono_finite_colength(mod):
+        # the colength is the K-sweep with the t-basis as frame
+        try:
+            return ColengthWitness(mod.mono.sweep(t_basis(ring, mod.tdeg), ceiling), "monomial divisibility sweep")
+        except InfiniteLengthError:
             return ColengthWitness(None, "monomial staircase is infinite")
-        buckets = mod.buckets
-        for c in range(ceiling + 1):
-            if all(
-                buckets.contains(Monomial(alpha, beta))
-                for alpha in compositions(c, ring.d)
-                for beta in compositions(mod.tdeg, ring.p)
-            ):
-                return ColengthWitness(c, "monomial divisibility sweep")
-        raise UndecidedColengthError(f"monomial colength exceeds ceiling {ceiling}")
     for c in range(ceiling + 1):
         index, span = _chart(mod, c)
         if span.contains_unit_vectors(index.degree_columns(c)):
@@ -512,7 +483,7 @@ def module_membership(elem: PolyElement, mod: ModulePresentation, witness: Optio
     if elem.tdeg() != mod.tdeg:
         raise RingMismatchError("element degree does not match the module")
     if mod.monomial:
-        return all(mod.buckets.contains(m) for m in elem.coeffs)
+        return all(mod.mono.contains(m) for m in elem.coeffs)
     if witness is None:
         witness = colength_exponent(mod)
     if not witness.finite:
@@ -525,7 +496,7 @@ def module_contains(big: ModulePresentation, small: ModulePresentation) -> bool:
     if big.tdeg != small.tdeg:
         raise RingMismatchError("containment across different degrees")
     if big.monomial:
-        return all(big.buckets.contains(m) for g in small.gens for m in g.coeffs)
+        return all(big.mono.contains(m) for g in small.gens for m in g.coeffs)
     witness = colength_exponent(big)
     if not witness.finite:
         raise RegimeError("containment in a general module needs finite colength")
@@ -561,7 +532,7 @@ def quotient_length(big: ModulePresentation, small: ModulePresentation, verify_i
     if verify_inclusion and not module_contains(big, small):
         raise NotASubpairError("smaller module is not contained in the larger one")
     if big.monomial and small.monomial:
-        return mono_quotient_length(big, small)
+        return len(mono_quotient_monomials(big, small))
     if small.monomial:
         return relative_quotient_dim(big, small)
     return _general_pair_length(big, small)
@@ -570,12 +541,6 @@ def quotient_length(big: ModulePresentation, small: ModulePresentation, verify_i
 # ---------------------------------------------------------------------------
 # relative quotient against a monomial modulus
 # ---------------------------------------------------------------------------
-
-
-def _drop_modulus_terms(poly: PolyElement, buckets: MonomialBuckets) -> PolyElement:
-    """Canonical reduction modulo a monomial module: drop member terms."""
-    kept = {m: c for m, c in poly.coeffs.items() if not buckets.contains(m)}
-    return PolyElement(poly.ring, kept)
 
 
 def relative_quotient_dim(big: ModulePresentation, small: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> int:
@@ -590,7 +555,7 @@ def relative_quotient_dim(big: ModulePresentation, small: ModulePresentation, ce
         raise RegimeError("relative quotient chart needs a monomial modulus")
     if big.tdeg != small.tdeg:
         raise RingMismatchError("quotient across different degrees")
-    return _spanned_quotient_dim(big.ring, list(big.gens), small.mono_gens, ceiling)
+    return _spanned_quotient_dim(list(big.gens), small.mono, ceiling)
 
 
 def product_quotient_dim(
@@ -609,18 +574,18 @@ def product_quotient_dim(
     if a.tdeg + b.tdeg != small.tdeg:
         raise RingMismatchError("quotient across different degrees")
     products = [ga.mul(gb) for ga in a.gens for gb in b.gens]
-    return _spanned_quotient_dim(a.ring, products, small.mono_gens, ceiling)
+    return _spanned_quotient_dim(products, small.mono, ceiling)
 
 
-def _spanned_quotient_dim(ring, elems, small_gens, ceiling: int) -> int:
-    buckets = MonomialBuckets(small_gens)
+def _spanned_quotient_dim(elems, small: MonomialModule, ceiling: int) -> int:
+    ring = small.ring
     alive = []
     for g in elems:
-        reduced = _drop_modulus_terms(g, buckets)
+        reduced = small.reduce(g)
         if reduced.is_zero():
             continue
         for m in reduced.coeffs:
-            if _mono_escapes_all_powers(m, small_gens, ring):
+            if small.escapes(m):
                 raise InfiniteLengthError(
                     f"quotient is infinite: the term {m.text()} escapes the modulus"
                 )
@@ -632,7 +597,7 @@ def _spanned_quotient_dim(ring, elems, small_gens, ceiling: int) -> int:
         for g in alive:
             hit = False
             for gamma in compositions(level, ring.d):
-                red = _drop_modulus_terms(g.mul_monomial(Monomial(gamma, (0,) * ring.p)), buckets)
+                red = small.reduce(g.mul_monomial(Monomial(gamma, (0,) * ring.p)))
                 if not red.is_zero():
                     reduced_rows.append(red)
                     hit = True
@@ -705,9 +670,8 @@ def _residual_coordinates(products, target: ModulePresentation):
     ring = target.ring
     field = ring.field
     if target.monomial:
-        buckets = target.buckets
         residual_monos = sorted(
-            {m for poly in products for m in poly.coeffs if not buckets.contains(m)}
+            {m for poly in products for m in poly.coeffs if not target.mono.contains(m)}
         )
         pos = {m: i for i, m in enumerate(residual_monos)}
         width = len(residual_monos)
@@ -819,7 +783,7 @@ def try_monomialize(
                     candidates.add(m)
         if not candidates:
             return mod
-        candidate = ModulePresentation.from_monomials(mod.ring, _minimalize(candidates))
+        candidate = ModulePresentation.from_monomials(mod.ring, candidates)
         if module_contains(candidate, mod):
             return candidate
     except (RegimeError, UndecidedColengthError, InfiniteLengthError):

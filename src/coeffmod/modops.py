@@ -35,9 +35,6 @@ from .graded import (
     module_power,
     module_sum,
     modules_equal,
-    mono_colon_module,
-    mono_intersect,
-    _minimalize,
 )
 from .hilbert import NumericalFunction, capture_fiber, capture_rees_amao, fit
 from .linalg import PrimeField
@@ -68,15 +65,13 @@ def saturate(mod: ModulePresentation, step_cap: int = 256) -> SaturationResult:
 def _saturate(mod: ModulePresentation, step_cap: int) -> SaturationResult:
     ring = mod.ring
     if mod.monomial:
-        mm = ModulePresentation.maximal_ideal(ring)
+        mm = ModulePresentation.maximal_ideal(ring).mono
         current = mod
-        k = 0
-        while k < step_cap:
-            nxt = mono_colon_module(current, mm, current.tdeg)
-            if modules_equal(nxt, current):
+        for k in range(step_cap):
+            nxt = current.mono.colon(mm)
+            if nxt == current.mono:
                 return SaturationResult(current, k)
-            current = nxt
-            k += 1
+            current = nxt.presentation()
         raise UnstableUnionError(f"saturation chain still moving after {step_cap} steps", partial=current)
     witness = colength_exponent(mod)
     if not witness.finite:
@@ -101,7 +96,7 @@ def _one_step_colon(mod: ModulePresentation, n: int) -> ModulePresentation:
     power_hi = module_power(mod, n + 1)
     power_lo = module_power(mod, n)
     if mod.monomial:
-        return mono_colon_module(power_hi, power_lo, mod.tdeg)
+        return power_hi.mono.colon(power_lo.mono).presentation()
     frame = ModulePresentation.free(mod.ring, mod.tdeg)
     return colon_into_frame(power_hi, list(power_lo.gens), frame, mod)
 
@@ -324,7 +319,7 @@ def monomial_integral_closure(mod: ModulePresentation, cross_check: bool = False
                     )
             if inside:
                 members.append(cand)
-    return ModulePresentation.from_monomials(ring, _minimalize(members))
+    return ModulePresentation.from_monomials(ring, members)
 
 
 def relative_closure(mod: ModulePresentation) -> ModulePresentation:
@@ -335,7 +330,7 @@ def relative_closure(mod: ModulePresentation) -> ModulePresentation:
     return memo(
         mod,
         ("relative closure",),
-        lambda: mono_intersect(monomial_integral_closure(mod), saturate(mod).module),
+        lambda: monomial_integral_closure(mod).mono.intersect(saturate(mod).module.mono).presentation(),
     )
 
 

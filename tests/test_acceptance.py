@@ -28,7 +28,6 @@ from coeffmod.graded import (
     module_contains,
     module_multiply,
     modules_equal,
-    mono_intersect,
 )
 from coeffmod.hilbert import capture_buchsbaum_rim, capture_rees_amao, degree_test, fit
 from coeffmod.linalg import PrimeField
@@ -192,7 +191,7 @@ def test_criterion_3_top_link_equals_ratliff_rush_meet():
     for mod in samples:
         s = analytic_spread(mod).spread
         cert = coefficient_module(mod, s, rng, spread=s)
-        meet = mono_intersect(ratliff_rush(mod).module, saturate(mod).module)
+        meet = ratliff_rush(mod).module.mono.intersect(saturate(mod).module.mono).presentation()
         assert modules_equal(cert.result, meet)
     report(3, f"{len(samples)} samples, exact equality at k = s")
 
