@@ -38,8 +38,8 @@ from .graded import (
     module_power,
     module_sum,
     modules_equal,
+    quotient_length,
     quotient_lifts,
-    relative_quotient_dim,
     try_monomialize,
 )
 from .hilbert import (
@@ -113,7 +113,9 @@ def _contains_over(base: ModulePresentation, big: ModulePresentation, small: Mod
         return module_contains(big, small)
     except CoeffmodError:
         joined = module_sum(big, small)
-        return relative_quotient_dim(joined, base) == relative_quotient_dim(big, base)
+        return quotient_length(joined, base, verify_inclusion=False) == quotient_length(
+            big, base, verify_inclusion=False
+        )
 
 
 def _equal_over(base: ModulePresentation, a: ModulePresentation, b: ModulePresentation) -> bool:
@@ -122,9 +124,9 @@ def _equal_over(base: ModulePresentation, a: ModulePresentation, b: ModulePresen
     try:
         return modules_equal(a, b)
     except CoeffmodError:
-        da = relative_quotient_dim(a, base)
-        db = relative_quotient_dim(b, base)
-        ds = relative_quotient_dim(module_sum(a, b), base)
+        da = quotient_length(a, base, verify_inclusion=False)
+        db = quotient_length(b, base, verify_inclusion=False)
+        ds = quotient_length(module_sum(a, b), base, verify_inclusion=False)
         return da == db == ds
 
 

@@ -126,11 +126,10 @@ def load_spec(path: str):
     except ValueError as exc:
         raise ParseError(str(exc), line=entries["field"][1]) from exc
     try:
-        d = int(entries["xvars"][0])
-        p = int(entries["rank"][0])
+        ring = RingDescriptor(field, int(entries["xvars"][0]), int(entries["rank"][0]))
     except ValueError as exc:
-        raise ParseError("xvars and rank must be integers") from exc
-    ring = RingDescriptor(field, d, p)
+        raise ParseError("xvars and rank must be positive integers") from exc
+    d, p = ring.d, ring.p
     gens_text, gens_line = entries["gens"]
     if not (gens_text.startswith("[") and gens_text.endswith("]")):
         raise ParseError("gens must be a bracketed list", line=gens_line)
@@ -567,6 +566,13 @@ def run_command(opts) -> tuple:
     return report, code
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coeffmod",
@@ -608,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True, help="candidate reduction spec file")
     common(p)
     p = sub.add_parser("minred", help="draw a verified minimal reduction")
-    p.add_argument("--n0", type=int, default=1, help="power to reduce")
+    p.add_argument("--n0", type=_positive, default=1, help="power to reduce")
     p.add_argument("--count", type=int, help="elements to draw (default: spread)")
     common(p)
     p = sub.add_parser("coeff", help="one link of the relative chain")

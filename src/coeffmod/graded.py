@@ -5,11 +5,13 @@ inside the degree-g piece of R[t_1..t_p]; semantically it is the submodule
 generated over the local ring R_m (m the irrelevant maximal ideal), so every
 membership and length computed here agrees with the local one.
 
-Two regimes coexist:
+Two regimes coexist, and a question asked modulo a module goes to the
+engine its modulus chooses (`_modulo`):
 
 * monomial: every generator is a single monomial.  Powers, colons,
   saturations and lengths are lattice combinatorics; no truncation is needed
-  and infinite colength is allowed.
+  and infinite colength is allowed.  Quotients are taken term by term: drop
+  the terms the module contains and walk the x-shifts level by level.
 * general: computations run inside the truncated quotient F^g / m^D F^g.
   A membership or equality test against a module B is exact as soon as
   m^(D-1) F^g lies inside B: the test decides equality with B + m^D F^g and
@@ -26,6 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -44,8 +47,6 @@ from .poly import (
     MonomialIndex,
     PolyElement,
     RingDescriptor,
-    compositions,
-    exponents_below,
     t_basis,
 )
 
@@ -215,7 +216,37 @@ def _compress_generators(ring, gens):
 
 
 # ---------------------------------------------------------------------------
-# monomial-regime combinatorics
+# rows: elements as term tuples
+# ---------------------------------------------------------------------------
+
+
+def _rows(polys):
+    return [g.terms() for g in polys]
+
+
+def _product(f, g, field):
+    """The row of f * g for rows f, g: exponent sums, coefficients collected."""
+    out = {}
+    for ft, fx, fc in f:
+        for gt, gx, gc in g:
+            key = (tuple(map(add, ft, gt)), tuple(map(add, fx, gx)))
+            c = field.mul(fc, gc)
+            out[key] = field.add(out[key], c) if key in out else c
+    return tuple((t, x, c) for (t, x), c in out.items() if not field.is_zero(c))
+
+
+def _residual_chart(field, residues):
+    """(width, rows, columns, values): the residues as sparse rows on the
+    chart of the monomials that occur in them."""
+    chart = {}
+    cols = [chart.setdefault((t, x), len(chart)) for r in residues for t, x, _ in r]
+    rows = [i for i, r in enumerate(residues) for _ in r]
+    vals = [c for r in residues for _, _, c in r]
+    return len(chart), np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), coefficient_array(field, vals)
+
+
+# ---------------------------------------------------------------------------
+# monomial-regime combinatorics: the term-wise quotient engine
 # ---------------------------------------------------------------------------
 
 
@@ -231,6 +262,10 @@ class MonomialModule:
     Two monomials of equal t-degree divide one another only when their
     t-parts coincide, so every divisibility test reads one bucket.  Minimal
     monomial generators are unique, so equal modules hold equal buckets.
+
+    As a modulus it answers quotient questions term by term: a row is
+    reduced by dropping the terms the module contains, which is exact at any
+    colength.
     """
 
     def __init__(self, ring: RingDescriptor, tdeg: int, pairs):
@@ -262,38 +297,94 @@ class MonomialModule:
     def contains(self, m: Monomial) -> bool:
         return _divided(self.buckets.get(m.texp, ()), m.xexp)
 
-    def reduce(self, poly: PolyElement) -> PolyElement:
-        """Canonical reduction modulo the module: drop the member terms."""
-        return PolyElement(poly.ring, {m: c for m, c in poly.coeffs.items() if not self.contains(m)})
-
-    def escapes(self, m: Monomial) -> bool:
-        """True when the powers of some variable never push m into the module.
+    def escapes(self, t, x) -> bool:
+        """True when the powers of some variable never push the monomial of
+        exponents (t, x) into the module.
 
         x_i^k * m enters the module for large k iff some generator divides m
         away from the i-th exponent, so the answer needs no search.  The
         module has finite colength iff no unit monomial t^beta escapes.
         """
-        bucket = self.buckets.get(m.texp, ())
+        bucket = self.buckets.get(t, ())
         return any(
-            not any(all(a <= b for j, (a, b) in enumerate(zip(g, m.xexp)) if j != i) for g in bucket)
+            not any(all(a <= b for j, (a, b) in enumerate(zip(g, x)) if j != i) for g in bucket)
             for i in range(self.ring.d)
         )
 
-    def sweep(self, frame, ceiling: int = COLENGTH_CEILING) -> int:
-        """Least K with m^K * frame inside the module, for a list of frame
-        monomials.  Finiteness is decided exactly first, by `escapes`."""
-        for f in frame:
-            if self.escapes(f):
-                raise InfiniteLengthError(f"monomial quotient is infinite: {f.text()} escapes the floor")
-        for K in range(ceiling + 1):
-            shifts = list(compositions(K, self.ring.d))
-            if all(
-                _divided(self.buckets[f.texp], tuple(a + b for a, b in zip(alpha, f.xexp)))
-                for f in frame
-                for alpha in shifts
-            ):
-                return K
-        raise UndecidedColengthError(f"no K <= {ceiling} with m^K * frame inside floor despite finite length")
+    def _residue(self, row):
+        return tuple(term for term in row if not _divided(self.buckets.get(term[0], ()), term[1]))
+
+    def holds(self, row) -> bool:
+        return all(_divided(self.buckets.get(t, ()), x) for t, x, _ in row)
+
+    def residues(self, rows, ceiling: int = COLENGTH_CEILING):
+        """The distinct nonzero residues of x^gamma * row, over every row and
+        every gamma.
+
+        The walk goes level by level; the successors of a residue are its
+        products with x_1..x_d, reduced.  A row that is zero modulo the module
+        stays zero under every shift, so the walk ends at its first empty
+        level.  It reaches one iff no residual term of a row escapes, which is
+        decided first.  Rows of x-degree 0 leave level K empty exactly when
+        m^K * rows lies in the module.
+        """
+        seen = set()
+        level = []
+        for row in rows:
+            res = self._residue(row)
+            if res and res not in seen:
+                seen.add(res)
+                level.append(res)
+        for t, x, _ in {term for res in level for term in res}:
+            if self.escapes(t, x):
+                raise InfiniteLengthError(f"quotient is infinite: {Monomial(x, t).text()} escapes the modulus")
+        out = list(level)
+        depth = 0
+        while level:
+            depth += 1
+            if depth > ceiling:
+                raise UndecidedColengthError(f"residues still appear at x-shift level {ceiling}; enlarge the ceiling")
+            following = []
+            for res in level:
+                for i in range(self.ring.d):
+                    shifted = tuple((t, x[:i] + (x[i] + 1,) + x[i + 1 :], c) for t, x, c in res)
+                    if shifted in seen:
+                        continue
+                    succ = self._residue(shifted)
+                    if succ and succ not in seen:
+                        seen.add(succ)
+                        following.append(succ)
+            out += following
+            level = following
+        return out
+
+    def length(self, rows) -> int:
+        res = self.residues(rows)
+        if all(len(r) == 1 for r in res):
+            # one-term residues are staircase monomials: count the distinct ones
+            return len({r[0][:2] for r in res})
+        return len(self._independent(res))
+
+    def lifts(self, rows):
+        res = self.residues(rows)
+        if all(len(r) == 1 for r in res):
+            stairs = sorted(Monomial(x, t) for t, x in {r[0][:2] for r in res})
+            return [PolyElement.from_monomial(self.ring, m) for m in stairs]
+        return [PolyElement(self.ring, {Monomial(x, t): c for t, x, c in res[i]}) for i in self._independent(res)]
+
+    def _independent(self, residues):
+        """Indices of the residues independent of the ones before them."""
+        width, rows, cols, vals = _residual_chart(self.ring.field, residues)
+        return SpanBuilder(self.ring.field, width).add_rows(len(residues), rows, cols, vals)
+
+    def coordinates(self, rows):
+        """Coset coordinates of the rows, one matrix row each, on the chart
+        of the residual monomials that occur."""
+        field = self.ring.field
+        width, r, c, v = _residual_chart(field, [self._residue(row) for row in rows])
+        out = np.zeros((len(rows), width), dtype=field.dtype)
+        out[r, c] = v
+        return out
 
     def intersect(self, other: "MonomialModule") -> "MonomialModule":
         """Pairwise lcm of the generators in each common t-bucket."""
@@ -341,21 +432,10 @@ class MonomialModule:
         return out
 
 
-def mono_quotient_monomials(frame: ModulePresentation, floor: ModulePresentation, ceiling: int = COLENGTH_CEILING):
-    """Monomials of frame not in floor: a k-basis of frame/floor.
-
-    Every monomial of frame is x^gamma * (a generator), and for |gamma| >= K
-    it falls into floor, so the enumeration below is exhaustive.
-    """
-    gens, inside = frame.mono_gens, floor.mono
-    K = inside.sweep(gens, ceiling)
-    seen = set()
-    for f in gens:
-        for gamma in exponents_below(K, frame.ring.d):
-            m = Monomial(tuple(a + b for a, b in zip(gamma, f.xexp)), f.texp)
-            if m not in seen and not inside.contains(m):
-                seen.add(m)
-    return sorted(seen)
+def mono_quotient_monomials(frame: ModulePresentation, floor: ModulePresentation):
+    """Monomials of frame not in floor, sorted: a k-basis of frame/floor."""
+    rows = [((m.texp, m.xexp, 1),) for m in frame.mono_gens]
+    return [g.leading_monomial() for g in floor.mono.lifts(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +487,7 @@ def memo(mod: ModulePresentation, key: tuple, compute):
 
 
 # ---------------------------------------------------------------------------
-# truncated spans and colength
+# truncated spans and colength: the chart quotient engine
 # ---------------------------------------------------------------------------
 
 
@@ -427,7 +507,7 @@ def module_span(mod: ModulePresentation, bound: int, index: Optional[MonomialInd
     if index is None:
         index = MonomialIndex(mod.ring, mod.tdeg, bound)
     builder = SpanBuilder(mod.ring.field, index.dim)
-    builder.add_rows(*index.shifted_rows(mod.gens))
+    builder.add_rows(*index.shifted_rows(_rows(mod.gens)))
     span = builder.subspace()
     mod._span = (bound, span)
     return span
@@ -439,6 +519,43 @@ def _chart(mod: ModulePresentation, c: int):
     the truncation margin."""
     index = MonomialIndex(mod.ring, mod.tdeg, c + 1 + _MARGIN.get())
     return index, module_span(mod, index.bound, index)
+
+
+class _Chart:
+    """Quotients modulo a general module containing m^c F^g, asked inside
+    the truncated chart of `_chart` and seeded with the module's span."""
+
+    def __init__(self, mod: ModulePresentation, c: int):
+        self.field = mod.ring.field
+        self.index, self.span = _chart(mod, c)
+
+    def holds(self, row) -> bool:
+        return self.span.contains_vector(self.index.vector(row))
+
+    def _extend(self, rows):
+        """(builder, sparse shifted rows, accepted rows) after adding the
+        rows x^gamma * row to the module's span."""
+        builder = SpanBuilder(self.field, self.index.dim, seed=self.span)
+        entries = self.index.shifted_rows(rows)
+        return builder, entries, builder.add_rows(*entries)
+
+    def length(self, rows) -> int:
+        builder, _, _ = self._extend(rows)
+        return builder.dim - self.span.dim
+
+    def lifts(self, rows):
+        _, (_, owners, cols, vals), accepted = self._extend(rows)
+        starts = np.searchsorted(owners, accepted)
+        ends = np.searchsorted(owners, accepted, side="right")
+        return [self.index.poly(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, ends)]
+
+    def coordinates(self, rows):
+        """Coset coordinates of the rows: their residuals on the non-pivot
+        columns of the RREF span."""
+        out = np.zeros((len(rows), self.index.dim), dtype=self.field.dtype)
+        for i, row in enumerate(rows):
+            out[i] = self.span.reduce_vector(self.index.vector(row))
+        return out
 
 
 def colength_exponent(mod: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> ColengthWitness:
@@ -457,11 +574,13 @@ def _colength_search(mod: ModulePresentation, ceiling: int) -> ColengthWitness:
     if mod.is_zero():
         return ColengthWitness(None, "zero module")
     if mod.monomial:
-        # the colength is the K-sweep with the t-basis as frame
+        # one more than the top x-degree of the staircase of the unit monomials
+        units = [((t.texp, t.xexp, 1),) for t in t_basis(ring, mod.tdeg)]
         try:
-            return ColengthWitness(mod.mono.sweep(t_basis(ring, mod.tdeg), ceiling), "monomial divisibility sweep")
+            stairs = mod.mono.residues(units, ceiling)
         except InfiniteLengthError:
             return ColengthWitness(None, "monomial staircase is infinite")
+        return ColengthWitness(max((sum(r[0][1]) + 1 for r in stairs), default=0), "monomial staircase walk")
     for c in range(ceiling + 1):
         index, span = _chart(mod, c)
         if span.contains_unit_vectors(index.degree_columns(c)):
@@ -472,163 +591,67 @@ def _colength_search(mod: ModulePresentation, ceiling: int) -> ColengthWitness:
 
 
 # ---------------------------------------------------------------------------
-# membership / inclusion / equality
+# questions modulo a module
 # ---------------------------------------------------------------------------
 
 
-def module_membership(elem: PolyElement, mod: ModulePresentation, witness: Optional[ColengthWitness] = None) -> bool:
+def _modulo(mod: ModulePresentation, witness: Optional[ColengthWitness] = None):
+    """The quotient engine of a modulus, chosen once by the modulus itself.
+
+    A monomial module answers term by term at any colength; a general one
+    through the truncated chart at its colength c, taken from `witness` when
+    the caller holds one and from the memoised colength search otherwise.
+    Either engine offers `holds(row)`, `length(rows)` (of (rows + mod)/mod,
+    the rows' x-shifts included), `lifts(rows)` (a k-basis of that quotient
+    as elements) and `coordinates(rows)` (coset coordinates, no shifts).
+    """
+    if mod.monomial:
+        return mod.mono
+    if witness is None:
+        witness = colength_exponent(mod)
+    return _Chart(mod, witness.exponent)
+
+
+def module_membership(elem: PolyElement, mod: ModulePresentation) -> bool:
     """Exact membership of a t-homogeneous element (in the localized sense)."""
     if elem.is_zero():
         return True
     if elem.tdeg() != mod.tdeg:
         raise RingMismatchError("element degree does not match the module")
-    if mod.monomial:
-        return all(mod.mono.contains(m) for m in elem.coeffs)
-    if witness is None:
-        witness = colength_exponent(mod)
-    if not witness.finite:
-        raise RegimeError("general-regime membership needs finite colength")
-    index, span = _chart(mod, witness.exponent)
-    return span.contains_vector(index.vector(elem))
+    return _modulo(mod).holds(elem.terms())
 
 
 def module_contains(big: ModulePresentation, small: ModulePresentation) -> bool:
     if big.tdeg != small.tdeg:
         raise RingMismatchError("containment across different degrees")
-    if big.monomial:
-        return all(big.mono.contains(m) for g in small.gens for m in g.coeffs)
-    witness = colength_exponent(big)
-    if not witness.finite:
-        raise RegimeError("containment in a general module needs finite colength")
-    index, span = _chart(big, witness.exponent)
-    return all(span.contains_vector(index.vector(g)) for g in small.gens)
+    modulo = _modulo(big)
+    return all(modulo.holds(g.terms()) for g in small.gens)
 
 
 def modules_equal(a: ModulePresentation, b: ModulePresentation) -> bool:
     return module_contains(a, b) and module_contains(b, a)
 
 
-# ---------------------------------------------------------------------------
-# quotient lengths
-# ---------------------------------------------------------------------------
-
-
-def _general_pair_length(big: ModulePresentation, small: ModulePresentation) -> int:
-    """dim big/small via truncated spans; small must have finite colength."""
-    witness = colength_exponent(small)
-    if not witness.finite:
-        raise InfiniteLengthError("smaller module has infinite colength")
-    index, span_small = _chart(small, witness.exponent)
-    builder = SpanBuilder(big.ring.field, index.dim, seed=span_small)
-    builder.add_rows(*index.shifted_rows(big.gens))
-    return builder.dim - span_small.dim
-
-
 def quotient_length(big: ModulePresentation, small: ModulePresentation, verify_inclusion: bool = True) -> int:
-    """Exact length of big/small (same t-degree, small of finite relative
-    colength)."""
+    """Exact length of big/small, or of (big + small)/small without
+    `verify_inclusion` (same t-degree, finite quotient)."""
     if big.tdeg != small.tdeg:
         raise RingMismatchError("quotient across different degrees")
     if verify_inclusion and not module_contains(big, small):
         raise NotASubpairError("smaller module is not contained in the larger one")
-    if big.monomial and small.monomial:
-        return len(mono_quotient_monomials(big, small))
-    if small.monomial:
-        return relative_quotient_dim(big, small)
-    return _general_pair_length(big, small)
+    return _modulo(small).length(_rows(big.gens))
 
 
-# ---------------------------------------------------------------------------
-# relative quotient against a monomial modulus
-# ---------------------------------------------------------------------------
+def product_quotient_dim(a: ModulePresentation, b: ModulePresentation, small: ModulePresentation) -> int:
+    """Length of (a*b + small)/small.
 
-
-def relative_quotient_dim(big: ModulePresentation, small: ModulePresentation, ceiling: int = COLENGTH_CEILING) -> int:
-    """Exact length of (big + small)/small for a monomial `small`.
-
-    Sweeps x^gamma * gen reductions by ascending |gamma|; once a whole level
-    reduces to zero, every higher level does too (small is a module), so the
-    collected rows span the quotient.  Works whatever the colength of small,
-    as long as the quotient itself has finite length.
-    """
-    if not small.monomial:
-        raise RegimeError("relative quotient chart needs a monomial modulus")
-    if big.tdeg != small.tdeg:
-        raise RingMismatchError("quotient across different degrees")
-    return _spanned_quotient_dim(list(big.gens), small.mono, ceiling)
-
-
-def product_quotient_dim(
-    a: ModulePresentation,
-    b: ModulePresentation,
-    small: ModulePresentation,
-    ceiling: int = COLENGTH_CEILING,
-) -> int:
-    """Length of (a*b + small)/small for a monomial `small`.
-
-    Streams the products of the two generator lists straight into the chart
-    sweep; a compressed presentation of a*b over the full joint support is
-    never built, which matters at high t-degrees."""
-    if not small.monomial:
-        raise RegimeError("relative quotient chart needs a monomial modulus")
+    The products of the two generator lists are streamed straight into the
+    modulus's engine; a compressed presentation of a*b over the full joint
+    support is never built, which matters at high t-degrees."""
     if a.tdeg + b.tdeg != small.tdeg:
         raise RingMismatchError("quotient across different degrees")
-    products = [ga.mul(gb) for ga in a.gens for gb in b.gens]
-    return _spanned_quotient_dim(products, small.mono, ceiling)
-
-
-def _spanned_quotient_dim(elems, small: MonomialModule, ceiling: int) -> int:
-    ring = small.ring
-    alive = []
-    for g in elems:
-        reduced = small.reduce(g)
-        if reduced.is_zero():
-            continue
-        for m in reduced.coeffs:
-            if small.escapes(m):
-                raise InfiniteLengthError(
-                    f"quotient is infinite: the term {m.text()} escapes the modulus"
-                )
-        alive.append(reduced)
-    reduced_rows = []
-    level = 0
-    while alive:
-        survivors = []
-        for g in alive:
-            hit = False
-            for gamma in compositions(level, ring.d):
-                red = small.reduce(g.mul_monomial(Monomial(gamma, (0,) * ring.p)))
-                if not red.is_zero():
-                    reduced_rows.append(red)
-                    hit = True
-            if hit:
-                # an element whose level is all zero stays zero at every
-                # higher level, so it can be retired
-                survivors.append(g)
-        alive = survivors
-        level += 1
-        if level > ceiling:
-            raise UndecidedColengthError(
-                f"relative quotient still has new rows at x-shift level {ceiling}; enlarge the ceiling"
-            )
-    if not reduced_rows:
-        return 0
-    chart = sorted({m for row in reduced_rows for m in row.coeffs})
-    pos = {m: i for i, m in enumerate(chart)}
-    rows, cols, vals = [], [], []
-    for i, row in enumerate(reduced_rows):
-        for m, c in row.coeffs.items():
-            rows.append(i)
-            cols.append(pos[m])
-            vals.append(c)
-    builder = SpanBuilder(ring.field, len(chart))
-    builder.add_rows(
-        len(reduced_rows),
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        coefficient_array(ring.field, vals),
-    )
-    return builder.dim
+    field = small.ring.field
+    return _modulo(small).length([_product(f, g, field) for f in _rows(a.gens) for g in _rows(b.gens)])
 
 
 # ---------------------------------------------------------------------------
@@ -639,56 +662,13 @@ def _spanned_quotient_dim(elems, small: MonomialModule, ceiling: int) -> int:
 def quotient_lifts(frame: ModulePresentation, floor: ModulePresentation):
     """Polynomial representatives of a k-basis of frame/floor.
 
-    Monomial pairs enumerate the set difference directly.  Otherwise the
-    floor span inside the truncated chart is extended by the frame rows
-    x^gamma * gen in order; the rows that enlarge it are the lifts.
+    Over a monomial floor these are the staircase monomials of the frame
+    (sorted) or the independent term-wise residues; otherwise the rows
+    x^gamma * gen of the frame that enlarge the floor's truncated span.
     Representatives are unique only up to floor, which is all the colon
     computation needs.
     """
-    ring = frame.ring
-    if frame.monomial and floor.monomial:
-        return [PolyElement.from_monomial(ring, m) for m in mono_quotient_monomials(frame, floor)]
-    witness = colength_exponent(floor)
-    if not witness.finite:
-        raise RegimeError("frame/floor lift needs floor of finite colength")
-    index, span = _chart(floor, witness.exponent)
-    builder = SpanBuilder(ring.field, index.dim, seed=span)
-    nrows, rows, cols, vals = index.shifted_rows(frame.gens)
-    accepted = builder.add_rows(nrows, rows, cols, vals)
-    starts = np.searchsorted(rows, accepted)
-    ends = np.searchsorted(rows, accepted, side="right")
-    return [index.poly(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(starts, ends)]
-
-
-def _residual_coordinates(products, target: ModulePresentation):
-    """Canonical coset coordinates of each product modulo the target.
-
-    Monomial targets reduce term-by-term on an ad-hoc chart of the residual
-    monomials that actually occur; general targets reduce against the
-    truncated RREF span, whose residuals live on the non-pivot columns.
-    """
-    ring = target.ring
-    field = ring.field
-    if target.monomial:
-        residual_monos = sorted(
-            {m for poly in products for m in poly.coeffs if not target.mono.contains(m)}
-        )
-        pos = {m: i for i, m in enumerate(residual_monos)}
-        width = len(residual_monos)
-        rows = []
-        for poly in products:
-            v = np.zeros(width, dtype=field.dtype)
-            for m, c in poly.coeffs.items():
-                if m in pos:
-                    v[pos[m]] = c
-            rows.append(v)
-        return rows, width
-    witness = colength_exponent(target)
-    if not witness.finite:
-        raise RegimeError("colon target needs finite colength in the general regime")
-    index, span = _chart(target, witness.exponent)
-    rows = [span.reduce_vector(index.vector(p)) for p in products]
-    return rows, index.dim
+    return _modulo(floor).lifts(_rows(frame.gens))
 
 
 def colon_into_frame(
@@ -705,37 +685,28 @@ def colon_into_frame(
     to the tuple of its products with the elems, taken modulo target.
     """
     ring = target.ring
+    field = ring.field
     if not module_contains(frame, floor):
         raise StructuralError("floor is not contained in the frame")
-    for e in elems:
-        for g in floor.gens:
-            if not module_membership(g.mul(e), target):
+    modulo = _modulo(target)
+    elem_rows = _rows(elems)
+    for e in elem_rows:
+        for g in _rows(floor.gens):
+            if not modulo.holds(_product(g, e, field)):
                 raise StructuralError(
                     "floor * elem escapes the target: wrong power or not a reduction"
                 )
     lifts = quotient_lifts(frame, floor)
     if not lifts:
         return floor
-    blocks = []
-    width_total = 0
-    for e in elems:
-        products = [w.mul(e) for w in lifts]
-        block, width = _residual_coordinates(products, target)
-        blocks.append((block, width))
-        width_total += width
-    if width_total == 0:
+    lift_rows = _rows(lifts)
+    blocks = [modulo.coordinates([_product(w, e, field) for w in lift_rows]) for e in elem_rows]
+    if sum(block.shape[1] for block in blocks) == 0:
         # every product already lies in the target: the colon is the frame
         return ModulePresentation(ring, list(floor.gens) + list(lifts), tdeg=floor.tdeg)
     # solve for coefficient vectors over the lifts: one matrix row per
     # residual coordinate, one column per lift, right kernel = the colon
-    field = ring.field
-    mat = np.zeros((width_total, len(lifts)), dtype=field.dtype)
-    off = 0
-    for block, width in blocks:
-        for j, row in enumerate(block):
-            mat[off : off + width, j] = row
-        off += width
-    kernel = kernel_basis(ExactMatrix(field, mat, copy=False))
+    kernel = kernel_basis(ExactMatrix(field, np.hstack(blocks).T))
     extra = []
     for lam in kernel:
         poly = PolyElement.zero(ring)
@@ -774,13 +745,8 @@ def try_monomialize(
             witness = ColengthWitness(colength_hint, "caller hint")
         else:
             witness = colength_exponent(mod, ceiling=ceiling)
-        if not witness.finite:
-            return mod
-        candidates = set()
-        for g in mod.gens:
-            for m in g.coeffs:
-                if module_membership(PolyElement.from_monomial(mod.ring, m), mod, witness):
-                    candidates.add(m)
+        modulo = _modulo(mod, witness)
+        candidates = {m for g in mod.gens for m, c in g.coeffs.items() if modulo.holds(((m.texp, m.xexp, c),))}
         if not candidates:
             return mod
         candidate = ModulePresentation.from_monomials(mod.ring, candidates)

@@ -284,9 +284,9 @@ def capture_graded(
 ) -> NumericalFunction:
     """lengths of big * M^(n-1) / ideal * M^n for n = 1..nmax.
 
-    When the floor side stays monomial the products of big with the powers
-    are streamed into the quotient chart instead of being compressed into a
-    presentation first; at high powers that avoids the dominant cost.
+    The products of big with the powers are streamed into the floor's
+    quotient engine instead of being compressed into a presentation first;
+    at high powers that avoids the dominant cost.
     """
     values = []
     for n in range(1, nmax + 1):
@@ -294,12 +294,7 @@ def capture_graded(
         if n == 1:
             values.append((n, quotient_length(big, bottom, verify_inclusion=True)))
             continue
-        prev = module_power(mod, n - 1)
-        if bottom.monomial:
-            values.append((n, product_quotient_dim(big, prev, bottom)))
-        else:
-            top = module_multiply(big, prev)
-            values.append((n, quotient_length(top, bottom, verify_inclusion=False)))
+        values.append((n, product_quotient_dim(big, module_power(mod, n - 1), bottom)))
     return NumericalFunction("graded", values)
 
 

@@ -431,7 +431,9 @@ def minimal_reduction(
         try:
             outcome = is_reduction(candidate, base, r_max)
         except (UndecidedColengthError, InfiniteLengthError):
-            continue  # degenerate draw; spend another attempt
+            if colength_exponent(base).finite:
+                continue  # degenerate draw; spend another attempt
+            raise  # M^n0 has infinite colength, so every draw would end here
         if isinstance(outcome, ReductionWitness):
             return ReductionWitness(elems, n0, outcome.r)
     raise GenericityFailureError(

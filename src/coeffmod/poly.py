@@ -204,6 +204,11 @@ class PolyElement:
                     out[m] = s
         return PolyElement(self.ring, out)
 
+    def terms(self):
+        """The terms as (texp, xexp, coefficient) triples: the row form the
+        quotient engines and the truncated charts read."""
+        return tuple((m.texp, m.xexp, c) for m, c in self.coeffs.items())
+
     def mul_monomial(self, m: Monomial) -> "PolyElement":
         return PolyElement(self.ring, {mm.mul(m): c for mm, c in self.coeffs.items()})
 
@@ -466,15 +471,15 @@ class MonomialIndex:
         low, high = comb(c - 1 + d, d), comb(c + d, d)
         return [tb * self.xsize + r for tb in range(len(self.texps)) for r in range(low, high)]
 
-    def _terms(self, poly: PolyElement):
-        """(t-blocks, x-exponents, coefficients) of the terms of a
-        t-homogeneous element of the chart's t-degree."""
+    def _terms(self, row):
+        """(t-blocks, x-exponents, coefficients) of a row of terms
+        (`PolyElement.terms`) of the chart's t-degree."""
         blocks, xexps, coeffs = [], [], []
-        for m, c in poly.coeffs.items():
-            if m.tdeg != self.tdeg:
+        for t, x, c in row:
+            if sum(t) != self.tdeg:
                 raise RingMismatchError("t-degree does not match the chart")
-            blocks.append(self.tblock[m.texp])
-            xexps.append(m.xexp)
+            blocks.append(self.tblock[t])
+            xexps.append(x)
             coeffs.append(c)
         return (
             np.array(blocks, dtype=np.int64),
@@ -482,11 +487,11 @@ class MonomialIndex:
             coeffs,
         )
 
-    def vector(self, poly: PolyElement):
-        """Coordinates of a t-homogeneous element; terms with xdeg >= bound
-        are projected away (they lie inside the truncation ideal)."""
+    def vector(self, row):
+        """Coordinates of a row of terms; terms with xdeg >= bound are
+        projected away (they lie inside the truncation ideal)."""
         field = self.ring.field
-        blocks, xexps, coeffs = self._terms(poly)
+        blocks, xexps, coeffs = self._terms(row)
         keep = np.nonzero(xexps.sum(axis=1) < self.bound)[0]
         v = np.zeros(self.dim, dtype=field.dtype)
         v[blocks[keep] * self.xsize + x_ranks(xexps[keep])] = coefficient_array(field, coeffs)[keep]
@@ -494,7 +499,7 @@ class MonomialIndex:
 
     def shifted_rows(self, gens):
         """The truncated products x^gamma * g, |gamma| < bound, of each
-        generator, as sparse entries for SpanBuilder.add_rows.
+        generator (a row of terms), as sparse entries for SpanBuilder.add_rows.
 
         Row i * X + rank(gamma) holds x^gamma times the i-th generator (X the
         number of x-monomials below the bound); terms pushed to x-degree >=

@@ -105,6 +105,21 @@ def test_load_spec_multiline_gens(tmp_path):
     assert len(mod.gens) == 2
 
 
+@pytest.mark.parametrize("xvars, rank", [(0, 1), (2, 0)])
+def test_load_spec_rejects_empty_rings(tmp_path, xvars, rank):
+    path = tmp_path / "empty.spec"
+    path.write_text(f"field = Q\nxvars = {xvars}\nrank = {rank}\ngens = [(1)]\n")
+    with pytest.raises(ParseError):
+        load_spec(str(path))
+    assert main(["inspect", str(path)]) == 2
+
+
+def test_minred_rejects_power_zero(quartic):
+    with pytest.raises(SystemExit) as exc:
+        main(["minred", quartic, "--n0", "0"])
+    assert exc.value.code == 2
+
+
 def test_lengths_br_golden_table(mf22):
     report, code = run(["lengths", mf22, "--kind", "br", "--nmax", "8"])
     assert code == 0

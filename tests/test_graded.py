@@ -18,6 +18,7 @@ from coeffmod.errors import (
 )
 from coeffmod.graded import (
     ModulePresentation,
+    product_quotient_dim,
     _chart,
     colength_exponent,
     colon_into_frame,
@@ -156,9 +157,9 @@ def test_length_rejects_non_nested_pair():
 
 
 def test_general_and_monomial_lengths_agree():
-    # oracle equivalence: the truncated-subspace path reproduces the lattice
-    # count on random nested monomial pairs
-    from coeffmod.graded import _general_pair_length
+    # oracle equivalence: the truncated chart, run on a monomial modulus,
+    # reproduces the lattice count on random nested monomial pairs
+    from coeffmod.graded import _Chart
 
     rng = random.Random(23)
     ring = RingDescriptor(F, 2, 1)
@@ -169,7 +170,22 @@ def test_general_and_monomial_lengths_agree():
         big = module(ring, f"x1^{a}*t1", f"x2^{b}*t1", extra)
         n = rng.randint(1, 2)
         bn, sn = module_power(big, n), module_power(small, n)
-        assert _general_pair_length(bn, sn) == len(mono_quotient_monomials(bn, sn))
+        chart = _Chart(sn, colength_exponent(sn).exponent)
+        assert chart.length([g.terms() for g in bn.gens]) == len(mono_quotient_monomials(bn, sn))
+
+
+def test_term_wise_lengths_of_general_elements_by_hand():
+    # x2^k never enters small = (x1^2, x1 x2^3), yet (big + small)/small is
+    # spanned by g = x1 x2 + x1 x2^2 and x2 g = x1 x2^2 modulo small
+    ring = RingDescriptor(F, 2, 1)
+    small = module(ring, "x1^2", "x1*x2^3")
+    big = module_sum(small, module(ring, "x1*x2 + x1*x2^2"))
+    assert not big.monomial and not colength_exponent(small).finite
+    assert quotient_length(big, small, verify_inclusion=False) == 2
+    # modulo (x1^3, x2^3) the shifts of g = x1^2 - x2^2 leave g, x1 x2^2,
+    # x1^2 x2 and x1^2 x2^2, the last one twice (from x1^2 g and x2^2 g)
+    cubes = module(ring, "x1^3", "x2^3")
+    assert quotient_length(module(ring, "x1^2 - x2^2"), cubes, verify_inclusion=False) == 4
 
 
 def test_truncation_probe_stability():
@@ -500,27 +516,15 @@ def test_monomial_module_matches_brute_force(case):
     colength = _brute_colength(a_gens, d, p, tdeg, top)
     assert colength_exponent(a).exponent == colength
     units = [Monomial((0,) * d, t) for t in _t_basis(p, tdeg)]
-    assert any(a.mono.escapes(u) for u in units) == (colength is None)
+    assert any(a.mono.escapes(u.texp, u.xexp) for u in units) == (colength is None)
 
-    # b as the frame over the floor a: the quotient monomials and the K-sweep
+    # b as the frame over the floor a: the quotient monomials
     outside = _brute_quotient(b_gens, a_gens, d, p, tdeg, top)
     if outside is None:
         with pytest.raises(InfiniteLengthError):
             mono_quotient_monomials(b, a)
     else:
         assert sorted((m.texp, m.xexp) for m in mono_quotient_monomials(b, a)) == outside
-        K = a.mono.sweep(b.mono_gens)
-
-        def shifted_inside(k):
-            return all(
-                _in(a_gens, t, tuple(u + v for u, v in zip(x, g)))
-                for t, x in b_gens
-                for g in product(range(k + 1), repeat=d)
-                if sum(g) == k
-            )
-
-        assert shifted_inside(K)
-        assert K == 0 or not shifted_inside(K - 1)
 
     meet = a.mono.intersect(b.mono)
     for t, x in _points(d, p, tdeg, top):
@@ -556,3 +560,92 @@ def test_quartic_power_and_graded_links_by_hand():
     for k in (1, 2):
         cert = graded_coefficient_module(quartic, k, random.Random(3))
         assert modules_equal(cert.result, floor)
+
+
+# -- product_quotient_dim: brute force and the compressed product -------------
+
+
+@st.composite
+def monomial_products(draw):
+    d = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([1, 2]))
+    ta, tb = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    basis = _t_basis(p, ta + tb)
+    floor = draw(st.lists(st.tuples(st.sampled_from(basis), st.tuples(*[st.integers(1, 5)] * d)), max_size=3))
+    if draw(st.integers(0, 2)) > 0:
+        # pure powers in every t-part: finite colength
+        for t in basis:
+            floor += [(t, tuple(draw(st.integers(2, 6)) if j == i else 0 for j in range(d))) for i in range(d)]
+    a_gens = draw(monomial_gens(d, p, ta, min_size=1))
+    b_gens = draw(monomial_gens(d, p, tb, min_size=1))
+    return d, p, ta, tb, a_gens, b_gens, floor
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=monomial_products())
+# t1 * t2 products over the bucket t1 t2: t-parts must be added too
+@example(case=(2, 2, 1, 1, [((1, 0), (1, 0))], [((0, 1), (0, 1))], [((1, 1), (3, 0)), ((1, 1), (0, 2))]))
+# the staircase reaches x2^2 * x1^2 only through shifts in the last variable
+@example(case=(2, 1, 1, 0, [((1,), (1, 0))], [((0,), (0, 0))], [((1,), (3, 0)), ((1,), (0, 3))]))
+# (x1 x2) modulo (x1^2): x1 x2^k escapes
+@example(case=(2, 1, 1, 1, [((1,), (1, 0))], [((1,), (0, 1))], [((2,), (2, 0))]))
+def test_product_lengths_match_brute_force(case):
+    d, p, ta, tb, a_gens, b_gens, s_gens = case
+    ring = RingDescriptor(F, d, p)
+    a, b, small = (_presentation(ring, g, gens) for g, gens in ((ta, a_gens), (tb, b_gens), (ta + tb, s_gens)))
+    frame = [
+        (tuple(u + v for u, v in zip(at, bt)), tuple(u + v for u, v in zip(ax, bx)))
+        for at, ax in a_gens
+        for bt, bx in b_gens
+    ]
+    top = max([1] + [e for _, x in frame + s_gens for e in x])
+    outside = _brute_quotient(frame, s_gens, d, p, ta + tb, top)
+    if outside is None:
+        with pytest.raises(InfiniteLengthError):
+            product_quotient_dim(a, b, small)
+    else:
+        assert product_quotient_dim(a, b, small) == len(outside)
+
+
+@st.composite
+def general_products(draw):
+    """Rank-1, d = 2 factors of t-degree 1 with coefficients in [-2, 2] over
+    F_10007, and a modulus of t-degree 2: monomials of x-degree at least 3,
+    plus one general generator when it holds pure powers of both variables
+    (finite colength)."""
+    term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.sampled_from([-2, -1, 1, 2]))
+    factor = st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=2)
+    cubic_and_up = [(a, b) for a in range(5) for b in range(5) if a + b >= 3]
+    modulus = st.lists(st.sampled_from(cubic_and_up), min_size=1, max_size=3)
+    powers = draw(st.integers(0, 2)) > 0
+    extra = draw(st.lists(term, max_size=3)) if powers else []
+    return draw(factor), draw(factor), draw(modulus) + ([(4, 0), (0, 3)] if powers else []), extra
+
+
+def _element(ring, tdeg, terms):
+    return PolyElement(ring, {Monomial(x, (tdeg,)): ring.field.of(c) for x, c in dict(terms).items()})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=general_products())
+# (x1 + x2)(x1 - x2) = x1^2 - x2^2: the x1 x2 terms of the product cancel,
+# and what is left lies in (x1^2, x2^2)
+@example(case=([[((1, 0), 1), ((0, 1), 1)]], [[((1, 0), 1), ((0, 1), -1)]], [(2, 0), (0, 2)], []))
+# the same product inside the general modulus (x1^4, x2^3, x1^2 - x2^2)
+@example(
+    case=([[((1, 0), 1), ((0, 1), 1)]], [[((1, 0), 1), ((0, 1), -1)]], [(4, 0), (0, 3)], [((2, 0), 1), ((0, 2), -1)])
+)
+def test_product_lengths_match_the_compressed_product(case):
+    a_terms, b_terms, s_xexps, extra = case
+    ring = RingDescriptor(F, 2, 1)
+    a = ModulePresentation(ring, [_element(ring, 1, t) for t in a_terms], tdeg=1)
+    b = ModulePresentation(ring, [_element(ring, 1, t) for t in b_terms], tdeg=1)
+    gens = [_element(ring, 2, [(x, 1)]) for x in s_xexps] + ([_element(ring, 2, extra)] if extra else [])
+    small = ModulePresentation(ring, gens, tdeg=2)
+    try:
+        expected = quotient_length(module_multiply(a, b), small, verify_inclusion=False)
+    except InfiniteLengthError:
+        with pytest.raises(InfiniteLengthError):
+            product_quotient_dim(a, b, small)
+        return
+    assert product_quotient_dim(a, b, small) == expected

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from coeffmod.errors import RankDeficientError, RegimeError, StructuralError
+from coeffmod.errors import RankDeficientError, RegimeError, StructuralError, UndecidedColengthError
 from coeffmod.graded import (
     ModulePresentation,
     colength_exponent,
@@ -363,6 +363,15 @@ def test_minimal_reduction_two_generic_quadrics():
     assert w.r <= 2
     sub = ModulePresentation(R21, w.elems)
     assert module_contains(m, sub)
+
+
+def test_minimal_reduction_refuses_a_base_of_infinite_colength_at_once():
+    # (x1^3, x1^2 x2^2, x1 x2^3) is not m-primary: no draw can decide its
+    # products, so the first undecided colength is the answer, not a
+    # genericity failure after every attempt
+    m = mk(R21, "x1^3", "x1^2*x2^2", "x1*x2^3")
+    with pytest.raises(UndecidedColengthError):
+        minimal_reduction(m, 1, 2, random.Random(1), attempts=2)
 
 
 def test_minimal_reduction_rejects_too_few_elements():

@@ -141,7 +141,7 @@ def test_enumerate_basis_examples():
     def columns(ring, n, bound, texts):
         index = MonomialIndex(ring, n, bound)
         assert index.dim == len(texts)
-        return [list(index.vector(P(t, ring))).index(1) for t in texts]
+        return [list(index.vector(P(t, ring).terms())).index(1) for t in texts]
 
     assert columns(R11, 1, 2, ["t1", "x1*t1"]) == [0, 1]
     assert columns(R22, 1, 1, ["t1", "t2"]) == [0, 1]
