@@ -283,6 +283,10 @@ class MonomialModule:
                 if not _divided(kept, x):
                     kept.append(x)
             self.buckets[t] = tuple(kept)
+        # the module is immutable, so what it answers about a monomial (t, x)
+        # is kept: membership and escape, each decided once per instance
+        self._held = {}
+        self._escaping = {}
 
     def __eq__(self, other):
         return self.tdeg == other.tdeg and self.buckets == other.buckets
@@ -294,8 +298,15 @@ class MonomialModule:
         gens = [PolyElement.from_monomial(self.ring, m) for m in self.monomials()]
         return ModulePresentation(self.ring, gens, tdeg=self.tdeg)
 
+    def _has(self, t, x) -> bool:
+        """The module holds the monomial of exponents (t, x)."""
+        held = self._held.get((t, x))
+        if held is None:
+            held = self._held[t, x] = _divided(self.buckets.get(t, ()), x)
+        return held
+
     def contains(self, m: Monomial) -> bool:
-        return _divided(self.buckets.get(m.texp, ()), m.xexp)
+        return self._has(m.texp, m.xexp)
 
     def escapes(self, t, x) -> bool:
         """True when the powers of some variable never push the monomial of
@@ -305,21 +316,35 @@ class MonomialModule:
         away from the i-th exponent, so the answer needs no search.  The
         module has finite colength iff no unit monomial t^beta escapes.
         """
-        bucket = self.buckets.get(t, ())
-        return any(
-            not any(all(a <= b for j, (a, b) in enumerate(zip(g, x)) if j != i) for g in bucket)
-            for i in range(self.ring.d)
-        )
+        out = self._escaping.get((t, x))
+        if out is None:
+            bucket = self.buckets.get(t, ())
+            out = self._escaping[t, x] = any(
+                not any(all(a <= b for j, (a, b) in enumerate(zip(g, x)) if j != i) for g in bucket)
+                for i in range(self.ring.d)
+            )
+        return out
 
     def _residue(self, row):
-        return tuple(term for term in row if not _divided(self.buckets.get(term[0], ()), term[1]))
+        return tuple(term for term in row if not self._has(term[0], term[1]))
+
+    def _line(self, row):
+        """The residue of the row scaled to a first coefficient of 1: one
+        representative for all nonzero scalar multiples."""
+        res = self._residue(row)
+        lead = res[0][2] if res else 1
+        if lead != 1:
+            div = self.ring.field.div
+            res = tuple((t, x, div(c, lead)) for t, x, c in res)
+        return res
 
     def holds(self, row) -> bool:
-        return all(_divided(self.buckets.get(t, ()), x) for t, x, _ in row)
+        return all(self._has(t, x) for t, x, _ in row)
 
     def residues(self, rows, ceiling: int = COLENGTH_CEILING):
         """The distinct nonzero residues of x^gamma * row, over every row and
-        every gamma.
+        every gamma, each scaled to a first coefficient of 1, so that no two
+        are scalar multiples of one another.
 
         The walk goes level by level; the successors of a residue are its
         products with x_1..x_d, reduced.  A row that is zero modulo the module
@@ -330,8 +355,8 @@ class MonomialModule:
         """
         seen = set()
         level = []
-        for row in rows:
-            res = self._residue(row)
+        for row in dict.fromkeys(rows):
+            res = self._line(row)
             if res and res not in seen:
                 seen.add(res)
                 level.append(res)
@@ -350,7 +375,7 @@ class MonomialModule:
                     shifted = tuple((t, x[:i] + (x[i] + 1,) + x[i + 1 :], c) for t, x, c in res)
                     if shifted in seen:
                         continue
-                    succ = self._residue(shifted)
+                    succ = self._line(shifted)
                     if succ and succ not in seen:
                         seen.add(succ)
                         following.append(succ)
@@ -361,14 +386,14 @@ class MonomialModule:
     def length(self, rows) -> int:
         res = self.residues(rows)
         if all(len(r) == 1 for r in res):
-            # one-term residues are staircase monomials: count the distinct ones
-            return len({r[0][:2] for r in res})
+            # distinct one-term residues are distinct staircase monomials
+            return len(res)
         return len(self._independent(res))
 
     def lifts(self, rows):
         res = self.residues(rows)
         if all(len(r) == 1 for r in res):
-            stairs = sorted(Monomial(x, t) for t, x in {r[0][:2] for r in res})
+            stairs = sorted(Monomial(x, t) for ((t, x, _),) in res)
             return [PolyElement.from_monomial(self.ring, m) for m in stairs]
         return [PolyElement(self.ring, {Monomial(x, t): c for t, x, c in res[i]}) for i in self._independent(res)]
 
@@ -651,7 +676,8 @@ def product_quotient_dim(a: ModulePresentation, b: ModulePresentation, small: Mo
     if a.tdeg + b.tdeg != small.tdeg:
         raise RingMismatchError("quotient across different degrees")
     field = small.ring.field
-    return _modulo(small).length([_product(f, g, field) for f in _rows(a.gens) for g in _rows(b.gens)])
+    b_rows = _rows(b.gens)
+    return _modulo(small).length([_product(f, g, field) for f in _rows(a.gens) for g in b_rows])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Spec-file parsing, command surface, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coeffmod
 from coeffmod.cli import build_parser, load_spec, main, run_command
 from coeffmod.errors import ParseError
 
@@ -140,6 +144,21 @@ def test_inspect_reports_colength(quartic):
     report, code = run(["inspect", quartic])
     assert code == 0
     assert report["results"]["colength exponent"] == 5
+
+
+def test_module_entry_point_runs_the_cli(quartic, capsys):
+    # `python -m coeffmod` from a source tree, with no install
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coeffmod.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "coeffmod", "inspect", quartic, "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["inspect", quartic, "--json"]) == 0
+    assert json.loads(done.stdout) == json.loads(capsys.readouterr().out)
 
 
 def test_verify_prop52_passes(quartic):

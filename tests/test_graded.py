@@ -17,7 +17,9 @@ from coeffmod.errors import (
     UndecidedColengthError,
 )
 from coeffmod.graded import (
+    COLENGTH_CEILING,
     ModulePresentation,
+    _colength_search,
     product_quotient_dim,
     _chart,
     colength_exponent,
@@ -183,9 +185,18 @@ def test_term_wise_lengths_of_general_elements_by_hand():
     assert not big.monomial and not colength_exponent(small).finite
     assert quotient_length(big, small, verify_inclusion=False) == 2
     # modulo (x1^3, x2^3) the shifts of g = x1^2 - x2^2 leave g, x1 x2^2,
-    # x1^2 x2 and x1^2 x2^2, the last one twice (from x1^2 g and x2^2 g)
+    # x1^2 x2 and x1^2 x2^2, the last one twice up to sign (from x1^2 g and
+    # x2^2 g), yet the walk keeps one residue per line
     cubes = module(ring, "x1^3", "x2^3")
-    assert quotient_length(module(ring, "x1^2 - x2^2"), cubes, verify_inclusion=False) == 4
+    g = module(ring, "x1^2 - x2^2")
+    assert quotient_length(g, cubes, verify_inclusion=False) == 4
+    residues = cubes.mono.residues([g.gens[0].terms()])
+    lines = set()
+    for res in residues:
+        coeffs = {(t, x): c for t, x, c in res}
+        lead = coeffs[min(coeffs)]
+        lines.add(frozenset((m, F.div(c, lead)) for m, c in coeffs.items()))
+    assert len(lines) == len(residues) == 4
 
 
 def test_truncation_probe_stability():
@@ -538,6 +549,63 @@ def test_monomial_module_matches_brute_force(case):
             for wt, wx in w_gens
         )
         assert colon.contains(Monomial(x, t)) == inside
+
+
+def _brute_escapes(gens, t, x, top):
+    """Some power of one variable never pushes (t, x) into the module.  No
+    generator exponent exceeds top, so raising x_i to top decides it."""
+    return any(not _in(gens, t, x[:i] + (max(x[i], top),) + x[i + 1 :]) for i in range(len(x)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=monomial_cases())
+# p = 2, module (x1 t1, x1^2 t2, x2 t2): x1 t1 lies in it and x1 t2 does not,
+# and x2^k t1 escapes while x2^k t2 enters, so tables keyed on the x-part
+# alone would mix the two t-buckets; the frame (t2) has a finite quotient
+@example(
+    case=(
+        2,
+        2,
+        1,
+        0,
+        [((1, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 1), (0, 1))],
+        [((0, 1), (0, 0))],
+        [((0, 0), (0, 0))],
+    )
+)
+# x2^k t1 never enters (x1^2 t1): the quotient is infinite at every asking
+@example(case=(2, 1, 1, 0, [((1,), (2, 0))], [((1,), (0, 0))], [((0,), (0, 0))]))
+def test_monomial_answers_do_not_go_stale(case):
+    # one engine is asked the same questions before and after its
+    # membership and escape answers have been filled in over a whole box
+    d, p, tdeg, _, a_gens, b_gens, _ = case
+    ring = RingDescriptor(F, d, p)
+    a = _presentation(ring, tdeg, a_gens)
+    engine = a.mono
+    top = max([1] + [e for _, x in a_gens + b_gens for e in x])
+    frame = [((t, x, 1),) for t, x in b_gens]
+    outside = _brute_quotient(b_gens, a_gens, d, p, tdeg, top)
+    colength = _brute_colength(a_gens, d, p, tdeg, top)
+
+    def ask(colength_of):
+        if outside is None:
+            with pytest.raises(InfiniteLengthError):
+                engine.length(frame)
+            with pytest.raises(InfiniteLengthError):
+                engine.lifts(frame)
+        else:
+            assert engine.length(frame) == len(outside)
+            lifted = [g.leading_monomial() for g in engine.lifts(frame)]
+            assert sorted((m.texp, m.xexp) for m in lifted) == outside
+        assert colength_of(a).exponent == colength
+
+    ask(colength_exponent)
+    for t, x in _points(d, p, tdeg, top + 1):
+        assert engine.contains(Monomial(x, t)) == _in(a_gens, t, x)
+        assert engine.escapes(t, x) == _brute_escapes(a_gens, t, x, top)
+    # the colength again past the presentation's memo, so the engine answers
+    ask(lambda mod: _colength_search(mod, COLENGTH_CEILING))
+    assert a.mono is engine
 
 
 def test_intersection_across_degrees_raises_the_typed_error():
