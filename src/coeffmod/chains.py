@@ -594,7 +594,7 @@ def check_top_link_meets_ratliff_rush(
     if mod.monomial:
         # the colon chain of a monomial module is monomial, so the meet is
         # plain lattice combinatorics
-        meet = rr.mono.intersect(sat_res.mono).presentation()
+        meet = ModulePresentation(mod.ring, rr.mono.intersect(sat_res.mono))
     else:
         meet = rr  # finite colength: the saturation is everything
     equal = _equal_over(mod, cert.result, meet)

@@ -584,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("spec", help="module spec file")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--nmax", type=int, default=8, help="table length (default 8)")
+        p.add_argument("--nmax", type=_positive, default=8, help="table length (default 8)")
         p.add_argument("--budget", type=int, default=6, help="randomized attempt budget")
-        p.add_argument("--window", type=int, default=3, help="fit confirmation window")
+        p.add_argument("--window", type=_positive, default=3, help="fit confirmation window")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--trunc-probe",
@@ -626,11 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("probe", help="maximality probe for one link")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive, default=50)
     common(p)
     p = sub.add_parser("check-5-8", help="power-collapse check across n")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nrange", type=int, default=4)
+    p.add_argument("--nrange", type=_positive, default=4)
     common(p)
     p = sub.add_parser("verify", help="named verification suite")
     p.add_argument("suite", choices=["prop52", "lemma22", "cor26", "rees", "cor57"])

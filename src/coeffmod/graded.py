@@ -104,37 +104,44 @@ def _canonical_scale(poly: PolyElement) -> PolyElement:
 
 class ModulePresentation:
     """A submodule of the t-degree-g piece, given by finitely many
-    generators of that degree.  Immutable; caches derive from it."""
+    generators of that degree or by a `MonomialModule` (whose t-degree it
+    takes).  Immutable; caches derive from it."""
 
     def __init__(self, ring: RingDescriptor, gens, tdeg: Optional[int] = None):
         self.ring = ring
-        cleaned = []
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generator over a different ring")
-            if g.is_zero():
-                continue
-            if not g.is_t_homogeneous():
-                raise RingMismatchError("generators must be t-homogeneous")
-            cleaned.append(_canonical_scale(g))
-        degs = {g.tdeg() for g in cleaned}
-        if len(degs) > 1:
-            raise RingMismatchError("generators of mixed t-degree")
-        if cleaned:
-            self.tdeg = degs.pop()
-        elif tdeg is not None:
-            self.tdeg = tdeg
-        else:
-            raise ValueError("zero module needs an explicit t-degree")
-        if not all(g.is_monomial() for g in cleaned):
-            # k-linear compression can reveal a hidden monomial generating set
-            cleaned = _compress_generators(ring, cleaned)
-        self.monomial = all(g.is_monomial() for g in cleaned)
-        self._mono = None
+        mono = gens if isinstance(gens, MonomialModule) else None
+        if mono is None:
+            cleaned = []
+            for g in gens:
+                if g.ring != ring:
+                    raise RingMismatchError("generator over a different ring")
+                if g.is_zero():
+                    continue
+                if not g.is_t_homogeneous():
+                    raise RingMismatchError("generators must be t-homogeneous")
+                cleaned.append(g)
+            degs = {g.tdeg() for g in cleaned}
+            if len(degs) > 1:
+                raise RingMismatchError("generators of mixed t-degree")
+            if cleaned:
+                tdeg = degs.pop()
+            elif tdeg is None:
+                raise ValueError("zero module needs an explicit t-degree")
+            if not all(g.is_monomial() for g in cleaned):
+                # k-linear compression can reveal a hidden monomial generating set
+                cleaned = _compress_generators(ring, cleaned)
+            if all(g.is_monomial() for g in cleaned):
+                mono = MonomialModule(ring, tdeg, ((m.texp, m.xexp) for g in cleaned for m in g.coeffs))
+        self.monomial = mono is not None
+        self._mono = mono
         if self.monomial:
-            self._mono = MonomialModule(ring, self.tdeg, ((m.texp, m.xexp) for g in cleaned for m in g.coeffs))
-            cleaned = [PolyElement.from_monomial(ring, m) for m in self._mono.monomials()]
-        self.gens = sorted(cleaned, key=lambda g: g.leading_monomial().key, reverse=True)
+            # the one monomial path: the minimal tuples, each with coefficient 1
+            self.tdeg = mono.tdeg
+            monomials = sorted((Monomial(x, t) for t, x in mono.pairs()), reverse=True)
+            self.gens = [PolyElement.from_monomial(ring, m) for m in monomials]
+        else:
+            self.tdeg = tdeg
+            self.gens = sorted(cleaned, key=lambda g: g.leading_monomial().key, reverse=True)
         self._powers = {1: self}
         self._span = None  # (absolute bound, Subspace): the last truncated span built
         self._memo = {}  # colength, and base-side results of chains, fits and closures; see memo()
@@ -156,12 +163,8 @@ class ModulePresentation:
 
     @classmethod
     def maximal_ideal(cls, ring: RingDescriptor) -> "ModulePresentation":
-        gens = []
-        for i in range(ring.d):
-            x = [0] * ring.d
-            x[i] = 1
-            gens.append(Monomial(x, (0,) * ring.p))
-        return cls.from_monomials(ring, gens)
+        units = (tuple(int(i == j) for j in range(ring.d)) for i in range(ring.d))
+        return cls(ring, MonomialModule(ring, 0, (((0,) * ring.p, x) for x in units)))
 
     @property
     def mono(self) -> "MonomialModule":
@@ -189,30 +192,17 @@ class ModulePresentation:
 
 def _compress_generators(ring, gens):
     """Replace the generator list by an equivalent k-independent one (RREF
-    over the joint monomial support).  Invertible k-linear moves preserve
-    the generated module."""
+    over the joint monomial support), each canonically scaled.  Invertible
+    k-linear moves preserve the generated module."""
     if len(gens) <= 1:
-        return list(gens)
+        return [_canonical_scale(g) for g in gens]
     support = sorted({m for g in gens for m in g.coeffs}, reverse=True)
-    pos = {m: i for i, m in enumerate(support)}
     field = ring.field
-    rows = []
-    for g in gens:
-        v = np.zeros(len(support), dtype=field.dtype)
-        for m, c in g.coeffs.items():
-            v[pos[m]] = c
-        rows.append(v)
-    sub = Subspace.from_rows(field, len(support), rows)
-    out = []
-    for i in range(sub.dim):
-        row = sub.matrix.row(i)
-        coeffs = {}
-        for j, m in enumerate(support):
-            c = field.of(row[j])
-            if not field.is_zero(c):
-                coeffs[m] = c
-        out.append(_canonical_scale(PolyElement(ring, coeffs)))
-    return out
+    sub = Subspace.from_rows(field, len(support), [[g.coeffs.get(m, 0) for m in support] for g in gens])
+    return [
+        _canonical_scale(PolyElement(ring, dict(zip(support, map(field.of, sub.matrix.row(i))))))
+        for i in range(sub.dim)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +214,21 @@ def _rows(polys):
     return [g.terms() for g in polys]
 
 
+def _exponent_sum(f, g):
+    """The exponents (t, x) of the product of (t, x) pairs or terms f, g."""
+    return tuple(map(add, f[0], g[0])), tuple(map(add, f[1], g[1]))
+
+
 def _product(f, g, field):
     """The row of f * g for rows f, g: exponent sums, coefficients collected."""
+    if len(f) == 1 and len(g) == 1:
+        # two nonzero scalars have a nonzero product: nothing to collect
+        return ((*_exponent_sum(f[0], g[0]), field.mul(f[0][2], g[0][2])),)
     out = {}
-    for ft, fx, fc in f:
-        for gt, gx, gc in g:
-            key = (tuple(map(add, ft, gt)), tuple(map(add, fx, gx)))
-            c = field.mul(fc, gc)
+    for s in f:
+        for r in g:
+            key = _exponent_sum(s, r)
+            c = field.mul(s[2], r[2])
             out[key] = field.add(out[key], c) if key in out else c
     return tuple((t, x, c) for (t, x), c in out.items() if not field.is_zero(c))
 
@@ -291,12 +289,9 @@ class MonomialModule:
     def __eq__(self, other):
         return self.tdeg == other.tdeg and self.buckets == other.buckets
 
-    def monomials(self):
-        return [Monomial(x, t) for t, xs in self.buckets.items() for x in xs]
-
-    def presentation(self) -> "ModulePresentation":
-        gens = [PolyElement.from_monomial(self.ring, m) for m in self.monomials()]
-        return ModulePresentation(self.ring, gens, tdeg=self.tdeg)
+    def pairs(self):
+        """The minimal generators as (texp, xexp) pairs."""
+        return [(t, x) for t, xs in self.buckets.items() for x in xs]
 
     def _has(self, t, x) -> bool:
         """The module holds the monomial of exponents (t, x)."""
@@ -475,10 +470,16 @@ def module_sum(a: ModulePresentation, b: ModulePresentation) -> ModulePresentati
 
 
 def module_multiply(a: ModulePresentation, b: ModulePresentation) -> ModulePresentation:
-    if a.is_zero() or b.is_zero():
-        return ModulePresentation.zero(a.ring, a.tdeg + b.tdeg)
-    gens = [ga.mul(gb) for ga in a.gens for gb in b.gens]
-    return ModulePresentation(a.ring, gens, tdeg=a.tdeg + b.tdeg)
+    """a * b; two monomial modules multiply as the minimalised exponent sums
+    of their generators."""
+    if a.ring != b.ring:
+        raise RingMismatchError("product of modules over different rings")
+    tdeg = a.tdeg + b.tdeg
+    if a.monomial and b.monomial:
+        right = b.mono.pairs()
+        sums = (_exponent_sum(f, g) for f in a.mono.pairs() for g in right)
+        return ModulePresentation(a.ring, MonomialModule(a.ring, tdeg, sums))
+    return ModulePresentation(a.ring, [ga.mul(gb) for ga in a.gens for gb in b.gens], tdeg=tdeg)
 
 
 def module_power(mod: ModulePresentation, n: int) -> ModulePresentation:

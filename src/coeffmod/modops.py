@@ -71,7 +71,7 @@ def _saturate(mod: ModulePresentation, step_cap: int) -> SaturationResult:
             nxt = current.mono.colon(mm)
             if nxt == current.mono:
                 return SaturationResult(current, k)
-            current = nxt.presentation()
+            current = ModulePresentation(ring, nxt)
         raise UnstableUnionError(f"saturation chain still moving after {step_cap} steps", partial=current)
     witness = colength_exponent(mod)
     if not witness.finite:
@@ -96,7 +96,7 @@ def _one_step_colon(mod: ModulePresentation, n: int) -> ModulePresentation:
     power_hi = module_power(mod, n + 1)
     power_lo = module_power(mod, n)
     if mod.monomial:
-        return power_hi.mono.colon(power_lo.mono).presentation()
+        return ModulePresentation(mod.ring, power_hi.mono.colon(power_lo.mono))
     frame = ModulePresentation.free(mod.ring, mod.tdeg)
     return colon_into_frame(power_hi, list(power_lo.gens), frame, mod)
 
@@ -330,7 +330,7 @@ def relative_closure(mod: ModulePresentation) -> ModulePresentation:
     return memo(
         mod,
         ("relative closure",),
-        lambda: monomial_integral_closure(mod).mono.intersect(saturate(mod).module.mono).presentation(),
+        lambda: ModulePresentation(mod.ring, monomial_integral_closure(mod).mono.intersect(saturate(mod).module.mono)),
     )
 
 

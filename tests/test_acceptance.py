@@ -191,7 +191,7 @@ def test_criterion_3_top_link_equals_ratliff_rush_meet():
     for mod in samples:
         s = analytic_spread(mod).spread
         cert = coefficient_module(mod, s, rng, spread=s)
-        meet = ratliff_rush(mod).module.mono.intersect(saturate(mod).module.mono).presentation()
+        meet = ModulePresentation(mod.ring, ratliff_rush(mod).module.mono.intersect(saturate(mod).module.mono))
         assert modules_equal(cert.result, meet)
     report(3, f"{len(samples)} samples, exact equality at k = s")
 

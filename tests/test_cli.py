@@ -124,6 +124,23 @@ def test_minred_rejects_power_zero(quartic):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-5-8", "--k", "1", "--nrange", "0"],
+        ["lengths", "--nmax", "0"],
+        ["lengths", "--nmax", "-1"],
+        ["fit", "--window", "0"],
+        ["probe", "--k", "1", "--samples", "-1"],
+    ],
+)
+def test_counts_below_one_are_rejected(squares, argv):
+    # each of these used to exit 0 having checked nothing
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], squares, *argv[1:]])
+    assert exc.value.code == 2
+
+
 def test_lengths_br_golden_table(mf22):
     report, code = run(["lengths", mf22, "--kind", "br", "--nmax", "8"])
     assert code == 0

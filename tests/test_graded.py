@@ -2,6 +2,7 @@
 
 import random
 import threading
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -605,6 +606,96 @@ def test_quartic_power_and_graded_links_by_hand():
     for k in (1, 2):
         cert = graded_coefficient_module(quartic, k, random.Random(3))
         assert modules_equal(cert.result, floor)
+
+
+# -- monomial products and powers: exponent sums on raw tuples ----------------
+
+
+def _brute_minimal(gens):
+    """The (t, x) pairs of `gens` that no other one divides, sorted."""
+    gens = set(gens)
+    return sorted(g for g in gens if not _in(gens - {g}, *g))
+
+
+def _brute_product(a_gens, b_gens):
+    return _brute_minimal(
+        (tuple(u + v for u, v in zip(at, bt)), tuple(u + v for u, v in zip(ax, bx)))
+        for at, ax in a_gens
+        for bt, bx in b_gens
+    )
+
+
+def _brute_text(gens):
+    """The text of a monomial presentation: generators sorted by descending
+    (t-degree, negated t-exponents, x-degree, negated x-exponents)."""
+
+    def word(t, x):
+        exps = [(f"x{i + 1}", e) for i, e in enumerate(x)] + [(f"t{i + 1}", e) for i, e in enumerate(t)]
+        parts = [v + (f"^{e}" if e > 1 else "") for v, e in exps if e]
+        return "*".join(parts) or "1"
+
+    order = sorted(gens, key=lambda g: (sum(g[0]), [-e for e in g[0]], sum(g[1]), [-e for e in g[1]]), reverse=True)
+    return "[" + "; ".join(word(t, x) for t, x in order) + "]"
+
+
+def _brute_buckets(gens):
+    out = {}
+    for t, x in gens:
+        out.setdefault(t, []).append(x)
+    return {t: sorted(xs) for t, xs in out.items()}
+
+
+@st.composite
+def scaled_monomial_products(draw):
+    d = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([1, 2]))
+    ta, tb = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    a_gens = draw(monomial_gens(d, p, ta, min_size=1))
+    scalars = st.sampled_from([Fraction(3), Fraction(-2, 3), Fraction(1), Fraction(-1)])
+    coeffs = draw(st.lists(scalars, min_size=len(a_gens), max_size=len(a_gens)))
+    field = draw(st.sampled_from(["Fp", "Q"]))
+    return field, d, p, ta, tb, a_gens, coeffs, draw(monomial_gens(d, p, tb, min_size=1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=scaled_monomial_products())
+# p = 2, d = 3, t-degree 2: a non-minimal generator (x1^2 t1 t2 under x1 t1 t2),
+# sums landing in four t-buckets, and a cube of a rank-2 module
+@example(
+    case=(
+        "Fp",
+        3,
+        2,
+        2,
+        1,
+        [((1, 1), (1, 0, 0)), ((2, 0), (0, 1, 0)), ((1, 1), (2, 0, 0)), ((0, 2), (0, 0, 2))],
+        [Fraction(3), Fraction(-2, 3), Fraction(1), Fraction(-1)],
+        [((0, 1), (0, 0, 1)), ((1, 0), (1, 0, 0)), ((1, 0), (0, 1, 1))],
+        3,
+    )
+)
+# the spec 3*x1^2 over Fp:10007, times (x2, x1^2 x2): the sum x1^4 x2 is not minimal
+@example(case=("Fp", 2, 1, 1, 1, [((1,), (2, 0))], [Fraction(3)], [((1,), (0, 1)), ((1,), (2, 1))], 2))
+# the spec -2/3*x1*x2 over Q, with (x1, x1^2 x2): x1^2 x2 divides x1^3 x2^2
+@example(case=("Q", 2, 1, 1, 1, [((1,), (1, 1))], [Fraction(-2, 3)], [((1,), (1, 0)), ((1,), (2, 1))], 3))
+def test_monomial_products_are_minimal_exponent_sums(case):
+    name, d, p, ta, tb, a_gens, coeffs, b_gens, n = case
+    ring = RingDescriptor(F if name == "Fp" else QQ, d, p)
+    scaled = [PolyElement.from_monomial(ring, Monomial(x, t), ring.field.of(c)) for (t, x), c in zip(a_gens, coeffs)]
+    a = ModulePresentation(ring, scaled, tdeg=ta)
+    b = _presentation(ring, tb, b_gens)
+    # written with any nonzero coefficients, a monomial module presents with 1
+    assert all(c == ring.field.one() for g in a.gens for c in g.coeffs.values())
+    assert a.text() == _brute_text(_brute_minimal(a_gens))
+    rebuilt = ModulePresentation(ring, a.mono)
+    assert rebuilt.text() == a.text() and rebuilt.mono == a.mono
+    expected = {"a*b": _brute_product(a_gens, b_gens), "a^n": _brute_minimal(a_gens)}
+    for _ in range(n - 1):
+        expected["a^n"] = _brute_product(expected["a^n"], a_gens)
+    for key, got in (("a*b", module_multiply(a, b)), ("a^n", module_power(a, n))):
+        assert got.monomial and got.tdeg == (ta + tb if key == "a*b" else n * ta)
+        assert {t: sorted(xs) for t, xs in got.mono.buckets.items()} == _brute_buckets(expected[key]), key
+        assert got.text() == _brute_text(expected[key]), key
 
 
 # -- product_quotient_dim: brute force and the compressed product -------------
